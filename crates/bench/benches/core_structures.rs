@@ -1,5 +1,6 @@
 //! Data-structure microbenchmarks for the hot-path core: event-queue
-//! push/pop/cancel mixes and node-buffer victim selection across every
+//! push/pop/cancel mixes and `StoreBuffer` victim selection (the
+//! engine's per-node buffer over the `PacketStore` slab) across every
 //! victim policy at several occupancies.
 //!
 //! These benches target the structures themselves (no network on top);
@@ -7,9 +8,9 @@
 //! --bench scale` covers whole-simulation throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tempriv_core::buffer::{BufferPolicy, BufferedPacket, NodeBuffer, VictimPolicy};
+use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
+use tempriv_core::store::{PacketStore, StoreBuffer};
 use tempriv_net::ids::{FlowId, NodeId, PacketId};
-use tempriv_net::packet::Packet;
 use tempriv_sim::queue::EventQueue;
 use tempriv_sim::rng::RngFactory;
 use tempriv_sim::time::{SimDuration, SimTime};
@@ -92,33 +93,24 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 /// Builds a buffer holding `k` packets with distinct pseudo-random
-/// release and arrival times, indexed for the given policy.
-fn filled_buffer(k: usize, victim: VictimPolicy) -> NodeBuffer {
+/// release and arrival times, indexed for the given policy, over the
+/// packet store that owns their slots.
+fn filled_buffer(k: usize, victim: VictimPolicy) -> (PacketStore, StoreBuffer) {
     let policy = BufferPolicy::Rcad {
         capacity: k,
         victim,
     };
-    let mut buf = NodeBuffer::for_policy(&policy);
+    let mut store = PacketStore::with_capacity(k);
+    let mut buf = StoreBuffer::for_policy(&policy);
     let mut rng = RngFactory::new(21).stream(0);
     for i in 0..k {
         let buffered_at = SimTime::from_units(rng.sample_exp(5.0));
         let release_at = buffered_at + SimDuration::from_units(rng.sample_exp(30.0));
-        let packet = Packet::new(
-            PacketId(i as u64),
-            FlowId(0),
-            NodeId(1),
-            i as u32,
-            buffered_at,
-            0.0,
-        );
-        buf.insert(BufferedPacket {
-            packet,
-            buffered_at,
-            release_at,
-            timer: None,
-        });
+        let slot = store.alloc(PacketId(i as u64), FlowId(0), NodeId(1), buffered_at, 0.0);
+        store.park(slot, buffered_at, release_at, None);
+        buf.insert(&store, slot);
     }
-    buf
+    (store, buf)
 }
 
 fn bench_victim_selection(c: &mut Criterion) {
@@ -143,15 +135,19 @@ fn bench_victim_selection(c: &mut Criterion) {
                 let template = filled_buffer(k, victim);
                 let mut rng = RngFactory::new(22).stream(0);
                 b.iter(|| {
-                    let mut buf = template.clone();
+                    let (mut store, mut buf) = template.clone();
                     for next_id in k as u64..k as u64 + 64 {
-                        let id = buf
+                        let pid = buf
                             .select_victim(victim, &mut rng)
                             .expect("buffer is non-empty");
-                        let mut entry = buf.remove(id).expect("victim is buffered");
-                        entry.packet.id = PacketId(next_id);
-                        entry.release_at += SimDuration::from_units(1.0);
-                        buf.insert(entry);
+                        let slot = buf.remove(&store, pid).expect("victim is buffered");
+                        let buffered_at = store.buffered_at(slot);
+                        let release_at = store.release_at(slot) + SimDuration::from_units(1.0);
+                        store.release(slot);
+                        let slot =
+                            store.alloc(PacketId(next_id), FlowId(0), NodeId(1), buffered_at, 0.0);
+                        store.park(slot, buffered_at, release_at, None);
+                        buf.insert(&store, slot);
                     }
                     buf.len()
                 });

@@ -20,7 +20,7 @@ use tempriv_infotheory::bounds::{btq_packet_bound_nats, btq_stream_bound_nats};
 use tempriv_infotheory::DEFAULT_STREAMING_BINS;
 use tempriv_queueing::erlang::{erlang_b, min_servers_for_loss, service_rate_for_loss};
 use tempriv_queueing::mm_inf::MmInf;
-use tempriv_runtime::{ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink};
+use tempriv_runtime::{Blob, ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink};
 use tempriv_telemetry::{
     chrome_span_events, memprof, wrap_chrome_events, DigestProbe, FlightRecorder,
     FlowPrivacySummary, LineageOutcome, MemBreakdown, PhaseBreakdown, PrivacyProbe, SimProbe,
@@ -531,9 +531,9 @@ fn write_telemetry_export(
 ) -> Result<(), String> {
     let export = TelemetryExport::collect(
         experiment,
-        &sink.take_all(),
-        &sink.take_all_privacy(),
-        &sink.take_all_mem(),
+        &sink.take(Blob::Telemetry),
+        &sink.take(Blob::Privacy),
+        &sink.take(Blob::Mem),
     )?;
     std::fs::write(path, export.to_canonical_json())
         .map_err(|e| format!("cannot write telemetry export {path}: {e}"))?;
@@ -659,34 +659,12 @@ fn cmd_resume<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-job telemetry blobs of one manifest, in job order.
-fn manifest_blobs(manifest: &ManifestReader) -> Vec<Option<String>> {
+/// One family's per-job blobs of a manifest, in job order.
+fn manifest_blobs(manifest: &ManifestReader, blob: Blob) -> Vec<Option<String>> {
     let mut blobs: Vec<Option<String>> = vec![None; manifest.header.jobs];
     for record in &manifest.records {
         if let Some(slot) = blobs.get_mut(record.index) {
-            slot.clone_from(&record.telemetry);
-        }
-    }
-    blobs
-}
-
-/// Per-job streaming-privacy blobs of one manifest, in job order.
-fn manifest_privacy_blobs(manifest: &ManifestReader) -> Vec<Option<String>> {
-    let mut blobs: Vec<Option<String>> = vec![None; manifest.header.jobs];
-    for record in &manifest.records {
-        if let Some(slot) = blobs.get_mut(record.index) {
-            slot.clone_from(&record.privacy);
-        }
-    }
-    blobs
-}
-
-/// Per-job allocation-ledger blobs of one manifest, in job order.
-fn manifest_mem_blobs(manifest: &ManifestReader) -> Vec<Option<String>> {
-    let mut blobs: Vec<Option<String>> = vec![None; manifest.header.jobs];
-    for record in &manifest.records {
-        if let Some(slot) = blobs.get_mut(record.index) {
-            slot.clone_from(&record.mem);
+            *slot = record.blob(blob).map(str::to_string);
         }
     }
     blobs
@@ -706,61 +684,44 @@ fn cmd_report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args
         .positional(1)
         .ok_or("usage: tempriv report <run.jsonl|dir> [--format text|json|prometheus] | tempriv report --bench <dir>")?;
-    let (experiment, blobs, privacy_blobs, mem_blobs, completed) =
-        if std::path::Path::new(path).is_dir() {
-            let entries = std::fs::read_dir(path)
-                .map_err(|e| format!("cannot read directory {path}: {e}"))?;
-            let mut manifests: Vec<std::path::PathBuf> = entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-                .collect();
-            manifests.sort();
-            if manifests.is_empty() {
-                writeln!(
-                    out,
-                    "no completed jobs: {path} contains no .jsonl manifests \
+    let manifests: Vec<std::path::PathBuf> = if std::path::Path::new(path).is_dir() {
+        let entries =
+            std::fs::read_dir(path).map_err(|e| format!("cannot read directory {path}: {e}"))?;
+        let mut manifests: Vec<std::path::PathBuf> = entries
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
+            .collect();
+        manifests.sort();
+        if manifests.is_empty() {
+            writeln!(
+                out,
+                "no completed jobs: {path} contains no .jsonl manifests \
                  (run a sweep with --manifest to journal one)"
-                )
-                .map_err(io_err)?;
-                return Ok(());
-            }
-            let mut experiments: Vec<String> = Vec::new();
-            let mut blobs = Vec::new();
-            let mut privacy_blobs = Vec::new();
-            let mut mem_blobs = Vec::new();
-            let mut completed = 0usize;
-            for manifest_path in &manifests {
-                let manifest = ManifestReader::read(manifest_path)?;
-                completed += manifest.records.len();
-                blobs.extend(manifest_blobs(&manifest));
-                privacy_blobs.extend(manifest_privacy_blobs(&manifest));
-                mem_blobs.extend(manifest_mem_blobs(&manifest));
-                if !experiments.contains(&manifest.header.experiment) {
-                    experiments.push(manifest.header.experiment.clone());
-                }
-            }
-            (
-                experiments.join("+"),
-                blobs,
-                privacy_blobs,
-                mem_blobs,
-                completed,
             )
-        } else {
-            let manifest = ManifestReader::read(path)?;
-            let blobs = manifest_blobs(&manifest);
-            let privacy_blobs = manifest_privacy_blobs(&manifest);
-            let mem_blobs = manifest_mem_blobs(&manifest);
-            let completed = manifest.records.len();
-            (
-                manifest.header.experiment,
-                blobs,
-                privacy_blobs,
-                mem_blobs,
-                completed,
-            )
-        };
+            .map_err(io_err)?;
+            return Ok(());
+        }
+        manifests
+    } else {
+        vec![path.into()]
+    };
+    let mut experiments: Vec<String> = Vec::new();
+    let mut blobs = Vec::new();
+    let mut privacy_blobs = Vec::new();
+    let mut mem_blobs = Vec::new();
+    let mut completed = 0usize;
+    for manifest_path in &manifests {
+        let manifest = ManifestReader::read(manifest_path)?;
+        completed += manifest.records.len();
+        blobs.extend(manifest_blobs(&manifest, Blob::Telemetry));
+        privacy_blobs.extend(manifest_blobs(&manifest, Blob::Privacy));
+        mem_blobs.extend(manifest_blobs(&manifest, Blob::Mem));
+        if !experiments.contains(&manifest.header.experiment) {
+            experiments.push(manifest.header.experiment.clone());
+        }
+    }
+    let experiment = experiments.join("+");
     if completed == 0 {
         // An interrupted (or never-started) run: the manifest header is
         // there but no job finished yet — say so instead of rendering a
@@ -1220,11 +1181,11 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     run_experiment(&experiment, &params, &runtime, &mut rows)?;
 
     let mut jobs: Vec<JobSpans> = Vec::new();
-    for blob in sink.take_all_spans().iter().flatten() {
+    for blob in sink.take(Blob::Spans).iter().flatten() {
         jobs.push(serde_json::from_str(blob).map_err(|e| format!("malformed span blob: {e}"))?);
     }
     let mut mem_jobs: Vec<JobMem> = Vec::new();
-    for blob in sink.take_all_mem().iter().flatten() {
+    for blob in sink.take(Blob::Mem).iter().flatten() {
         mem_jobs.push(serde_json::from_str(blob).map_err(|e| format!("malformed mem blob: {e}"))?);
     }
     let mut merged: Option<PhaseBreakdown> = None;
@@ -1294,7 +1255,7 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
                 phase_tid += 1;
             }
         }
-        for blob in sink.take_all_traces().iter().flatten() {
+        for blob in sink.take(Blob::Trace).iter().flatten() {
             let trace: JobTrace =
                 serde_json::from_str(blob).map_err(|e| format!("malformed trace blob: {e}"))?;
             for scenario in &trace.scenarios {
@@ -1390,8 +1351,8 @@ impl SimProbe for WatchProbe {
 /// progress plus every `tempriv_privacy_*` gauge the manifest's privacy
 /// blobs aggregate to.
 fn manifest_watch_frame(manifest: &ManifestReader) -> Result<String, String> {
-    let blobs = manifest_blobs(manifest);
-    let privacy = manifest_privacy_blobs(manifest);
+    let blobs = manifest_blobs(manifest, Blob::Telemetry);
+    let privacy = manifest_blobs(manifest, Blob::Privacy);
     let observed = privacy.iter().flatten().count();
     let export = TelemetryExport::collect(&manifest.header.experiment, &blobs, &privacy, &[])?;
     let mut s = format!(
@@ -2049,7 +2010,7 @@ mod tests {
         .unwrap();
         let back = tempriv_runtime::ManifestReader::read(&manifest).unwrap();
         assert_eq!(back.records.len(), 1);
-        let blob = back.records[0].trace.as_deref().expect("trace journaled");
+        let blob = back.records[0].blob(Blob::Trace).expect("trace journaled");
         let trace: tempriv_core::telemetry::JobTrace = serde_json::from_str(blob).unwrap();
         assert!(!trace.scenarios.is_empty());
         assert!(trace.scenarios.iter().all(|s| !s.log.events.is_empty()));
@@ -2229,7 +2190,7 @@ mod tests {
         .unwrap();
         let back = tempriv_runtime::ManifestReader::read(&manifest).unwrap();
         assert_eq!(back.records.len(), 1);
-        let blob = back.records[0].audit.as_deref().expect("audit journaled");
+        let blob = back.records[0].blob(Blob::Audit).expect("audit journaled");
         let audit: tempriv_core::telemetry::JobAudit = serde_json::from_str(blob).unwrap();
         assert_eq!(audit.root.len(), 16);
         assert!(!audit.scenarios.is_empty());
@@ -2278,8 +2239,7 @@ mod tests {
         let back = tempriv_runtime::ManifestReader::read(&manifest).unwrap();
         assert_eq!(back.records.len(), 1);
         let blob = back.records[0]
-            .privacy
-            .as_deref()
+            .blob(Blob::Privacy)
             .expect("privacy journaled");
         let privacy: tempriv_core::telemetry::JobPrivacy = serde_json::from_str(blob).unwrap();
         assert!(!privacy.scenarios.is_empty());

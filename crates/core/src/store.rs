@@ -29,7 +29,7 @@ use crate::buffer::{BufferPolicy, VictimPolicy};
 /// Slots are dense `u32` indices; freed slots are recycled in LIFO
 /// order, so a steady-state simulation touches the same few cache lines
 /// forever and the columns never grow past the peak in-flight count.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PacketStore {
     pid: Vec<PacketId>,
     flow: Vec<FlowId>,
@@ -231,7 +231,7 @@ enum VictimKeys {
 /// insert; occupancies are tens, not thousands), with the victim index
 /// as a second sorted `Vec`. Cleared capacity is retained, so after
 /// warm-up the buffer never allocates again.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StoreBuffer {
     entries: Vec<(PacketId, u32)>,
     index: Vec<(SimTime, PacketId)>,

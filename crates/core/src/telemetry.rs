@@ -35,13 +35,13 @@ use serde::{Deserialize, Serialize};
 use tempriv_net::ids::{FlowId, NodeId};
 use tempriv_net::traffic::TrafficModel;
 use tempriv_queueing::erlang::erlang_b;
-use tempriv_runtime::{Runtime, TelemetrySink};
-use tempriv_sim::profile::PhaseTimer;
+use tempriv_runtime::{Blob, Runtime, TelemetrySink};
+use tempriv_sim::profile::{Phase, PhaseTimer};
 use tempriv_telemetry::{
     memprof, BtqParams, DigestProbe, FlightLog, FlightRecorder, FlowAoi, FlowPrivacyConfig,
     MemBreakdown, MemScopeTimer, MemSnapshot, MetricsRegistry, PhaseBreakdown, PhaseProfiler,
-    PrivacyProbe, PrivacySeries, RecordingProbe, RunDigest, SimProbe, SimTelemetry, SpanRecord,
-    SpanSet, TelemetrySnapshot, TheoryCheck, TheoryReport, TheoryTolerance, TraceCtx,
+    PrivacyProbe, PrivacySeries, RecordingProbe, RunDigest, SimTelemetry, SpanRecord, SpanSet,
+    TelemetrySnapshot, TheoryCheck, TheoryReport, TheoryTolerance, TraceCtx,
 };
 
 use crate::buffer::BufferPolicy;
@@ -483,27 +483,28 @@ pub struct JobMem {
     pub peak_rss_bytes: Option<u64>,
 }
 
-/// Runs `sim` with `base` (plus whichever optional probe halves are
-/// active), keeping probe composition monomorphized without enumerating
-/// every on/off combination at the call site: the caller picks the base
-/// probe type (metrics alone, or metrics paired with a digest probe) and
-/// this helper handles the remaining three optional halves.
-fn run_with_base<P: SimProbe, T: PhaseTimer>(
-    sim: &NetworkSimulation,
-    base: &mut P,
-    flight: Option<&mut FlightRecorder>,
-    privacy: Option<&mut PrivacyProbe>,
-    timer: Option<&mut T>,
-) -> SimOutcome {
-    match (flight, privacy, timer) {
-        (Some(f), Some(p), Some(t)) => sim.run_profiled(&mut ((base, f), p), t),
-        (Some(f), None, Some(t)) => sim.run_profiled(&mut (base, f), t),
-        (None, Some(p), Some(t)) => sim.run_profiled(&mut (base, p), t),
-        (None, None, Some(t)) => sim.run_profiled(base, t),
-        (Some(f), Some(p), None) => sim.run_probed(&mut ((base, f), p)),
-        (Some(f), None, None) => sim.run_probed(&mut (base, f)),
-        (None, Some(p), None) => sim.run_probed(&mut (base, p)),
-        (None, None, None) => sim.run_probed(base),
+/// The collector's phase timer: the wall-clock profiler and the
+/// allocation-scope timer, each optional. It tracks the current phase
+/// itself and returns that as the previous phase, so the engine's
+/// `switch(prev)` restores stay exact whichever halves are on (the
+/// phase-restore rule on [`PhaseTimer`]).
+#[derive(Debug)]
+struct CollectorTimer {
+    profiler: Option<PhaseProfiler>,
+    mem: Option<MemScopeTimer>,
+    current: Phase,
+}
+
+impl PhaseTimer for CollectorTimer {
+    #[inline]
+    fn switch(&mut self, phase: Phase) -> Phase {
+        if let Some(profiler) = &mut self.profiler {
+            profiler.switch(phase);
+        }
+        if let Some(mem) = &mut self.mem {
+            mem.switch(phase);
+        }
+        std::mem::replace(&mut self.current, phase)
     }
 }
 
@@ -604,83 +605,36 @@ impl<'a> JobTelemetryCollector<'a> {
         }
         let started = std::time::Instant::now();
         let mut probe = RecordingProbe::new(sim.routing().len());
-        // Optional probe halves compose through the pair probe, which
-        // fans every hook out to both sides in one monomorphized pass.
-        let mut flight =
+        let flight =
             (self.trace_capacity > 0).then(|| FlightRecorder::with_capacity(self.trace_capacity));
-        let mut privacy = (self.privacy_interval > 0)
+        let privacy = (self.privacy_interval > 0)
             .then(|| privacy_probe_for(sim, self.privacy_interval as u64));
-        let mut profiler = (self.span_batch > 0)
+        let digest = (self.digest_window > 0).then(|| DigestProbe::new(self.digest_window));
+        let profiler = (self.span_batch > 0)
             .then(|| PhaseProfiler::with_batch(u32::try_from(self.span_batch).unwrap_or(u32::MAX)));
-        let mut digest = (self.digest_window > 0).then(|| DigestProbe::new(self.digest_window));
         // The allocation-scope timer rides the same phase-switch hooks
         // as the profiler; it must be constructed *after* the probes so
         // their setup allocations stay outside its baseline.
-        let mut mem_timer = self.mem_profile.then(|| {
+        let mem = self.mem_profile.then(|| {
             memprof::set_enabled(true);
             MemScopeTimer::new()
         });
-        // Optional instrumentation composes through monomorphized pair
-        // probes and a statically dispatched timer, so every disabled
-        // half costs nothing on the event path. The digest probe picks
-        // the *base* probe type, the profiler and mem timer pair up as
-        // the timer, and the other halves stay a single match.
-        let outcome = match (digest.as_mut(), profiler.as_mut(), mem_timer.as_mut()) {
-            (Some(d), Some(p), Some(m)) => {
-                let mut timer = (p, m);
-                run_with_base(
-                    sim,
-                    &mut (&mut probe, d),
-                    flight.as_mut(),
-                    privacy.as_mut(),
-                    Some(&mut timer),
-                )
-            }
-            (Some(d), Some(p), None) => run_with_base(
-                sim,
-                &mut (&mut probe, d),
-                flight.as_mut(),
-                privacy.as_mut(),
-                Some(p),
-            ),
-            (Some(d), None, Some(m)) => run_with_base(
-                sim,
-                &mut (&mut probe, d),
-                flight.as_mut(),
-                privacy.as_mut(),
-                Some(m),
-            ),
-            (Some(d), None, None) => run_with_base::<_, PhaseProfiler>(
-                sim,
-                &mut (&mut probe, d),
-                flight.as_mut(),
-                privacy.as_mut(),
-                None,
-            ),
-            (None, Some(p), Some(m)) => {
-                let mut timer = (p, m);
-                run_with_base(
-                    sim,
-                    &mut probe,
-                    flight.as_mut(),
-                    privacy.as_mut(),
-                    Some(&mut timer),
-                )
-            }
-            (None, Some(p), None) => {
-                run_with_base(sim, &mut probe, flight.as_mut(), privacy.as_mut(), Some(p))
-            }
-            (None, None, Some(m)) => {
-                run_with_base(sim, &mut probe, flight.as_mut(), privacy.as_mut(), Some(m))
-            }
-            (None, None, None) => run_with_base::<_, PhaseProfiler>(
-                sim,
-                &mut probe,
-                flight.as_mut(),
-                privacy.as_mut(),
-                None,
-            ),
+        // One monomorphized stack: a disabled half is a `None` probe
+        // whose hooks are skipped. Runs with neither timer half keep
+        // the engine's zero-cost no-op timer.
+        let mut stack = (((&mut probe, digest), flight), privacy);
+        let mut timer = (profiler.is_some() || mem.is_some()).then_some(CollectorTimer {
+            profiler,
+            mem,
+            current: Phase::EngineLoop,
+        });
+        let outcome = if let Some(timer) = &mut timer {
+            sim.run_profiled(&mut stack, timer)
+        } else {
+            sim.run_probed(&mut stack)
         };
+        let (((_, digest), flight), privacy) = stack;
+        let (profiler, mem_timer) = timer.map_or((None, None), |t| (t.profiler, t.mem));
         let flight_log = flight.map(|f| f.finish(outcome.end_time));
         let privacy_series = privacy.map(|p| p.finish(outcome.end_time));
         let telemetry = probe.finish(outcome.end_time);
@@ -770,55 +724,57 @@ impl<'a> JobTelemetryCollector<'a> {
     /// the privacy observatory was on, those blobs too) and attaches them
     /// to the job's sink slots. No-op when collection is inactive.
     pub fn finish(mut self) {
-        if let Some((sink, index)) = self.sink {
-            let json = serde_json::to_string(&self.job).expect("job telemetry serializes");
-            sink.attach(index, json);
-            if !self.trace.scenarios.is_empty() {
-                let json = serde_json::to_string(&self.trace).expect("job trace serializes");
-                sink.attach_trace(index, json);
-            }
-            if !self.privacy.scenarios.is_empty() {
-                let json = serde_json::to_string(&self.privacy).expect("job privacy serializes");
-                sink.attach_privacy(index, json);
-            }
-            if !self.audit.scenarios.is_empty() {
-                self.audit.root = self.audit.compute_root();
-                let json = serde_json::to_string(&self.audit).expect("job audit serializes");
-                sink.attach_audit(index, json);
-            }
-            if !self.mem.scenarios.is_empty() {
-                self.mem.process = Some(memprof::snapshot());
-                self.mem.peak_rss_bytes = memprof::peak_rss_bytes();
-                let json = serde_json::to_string(&self.mem).expect("job mem serializes");
-                sink.attach_mem(index, json);
-            }
-            if self.span_batch > 0 {
-                #[allow(clippy::cast_possible_truncation)]
-                let start_us = self
-                    .job_started
-                    .saturating_duration_since(self.epoch)
-                    .as_micros() as u64;
-                #[allow(clippy::cast_possible_truncation)]
-                let dur_us = self.job_started.elapsed().as_micros() as u64;
-                // The job span leads the blob so readers see parents
-                // before children.
-                self.spans.spans.insert(
-                    0,
-                    SpanRecord {
-                        trace_id: self.job_ctx.trace_id,
-                        span_id: self.job_ctx.span_id,
-                        parent_id: self.job_parent,
-                        name: format!("job {index}"),
-                        layer: "job".to_string(),
-                        start_us,
-                        dur_us,
-                    },
-                );
-                let json = serde_json::to_string(&self.spans).expect("job spans serialize");
-                sink.attach_spans(index, json);
-            }
+        let Some((sink, index)) = self.sink else {
+            return;
+        };
+        attach_json(sink, Blob::Telemetry, index, &self.job);
+        if !self.trace.scenarios.is_empty() {
+            attach_json(sink, Blob::Trace, index, &self.trace);
+        }
+        if !self.privacy.scenarios.is_empty() {
+            attach_json(sink, Blob::Privacy, index, &self.privacy);
+        }
+        if !self.audit.scenarios.is_empty() {
+            self.audit.root = self.audit.compute_root();
+            attach_json(sink, Blob::Audit, index, &self.audit);
+        }
+        if !self.mem.scenarios.is_empty() {
+            self.mem.process = Some(memprof::snapshot());
+            self.mem.peak_rss_bytes = memprof::peak_rss_bytes();
+            attach_json(sink, Blob::Mem, index, &self.mem);
+        }
+        if self.span_batch > 0 {
+            #[allow(clippy::cast_possible_truncation)]
+            let start_us = self
+                .job_started
+                .saturating_duration_since(self.epoch)
+                .as_micros() as u64;
+            #[allow(clippy::cast_possible_truncation)]
+            let dur_us = self.job_started.elapsed().as_micros() as u64;
+            // The job span leads the blob so readers see parents
+            // before children.
+            self.spans.spans.insert(
+                0,
+                SpanRecord {
+                    trace_id: self.job_ctx.trace_id,
+                    span_id: self.job_ctx.span_id,
+                    parent_id: self.job_parent,
+                    name: format!("job {index}"),
+                    layer: "job".to_string(),
+                    start_us,
+                    dur_us,
+                },
+            );
+            attach_json(sink, Blob::Spans, index, &self.spans);
         }
     }
+}
+
+/// Serializes one job blob and attaches it to the sink's `blob` slot.
+fn attach_json<T: Serialize>(sink: &TelemetrySink, blob: Blob, index: usize, value: &T) {
+    let json = serde_json::to_string(value)
+        .unwrap_or_else(|e| panic!("job {} blob serializes: {e}", blob.name()));
+    sink.attach(blob, index, json);
 }
 
 /// Sweep-level telemetry: every job's [`JobTelemetry`] plus aggregate
@@ -857,6 +813,28 @@ pub struct TelemetryExport {
     pub job_mem: Vec<Option<JobMem>>,
 }
 
+/// Parses the first `jobs` entries of one family's per-job blobs (a
+/// short slice pads with `None`), naming the job and family of the
+/// first blob that fails to parse.
+fn parse_blobs<T: Deserialize>(
+    blob: Blob,
+    blobs: &[Option<String>],
+    jobs: usize,
+) -> Result<Vec<Option<T>>, String> {
+    (0..jobs)
+        .map(|i| {
+            blobs
+                .get(i)
+                .and_then(Option::as_deref)
+                .map(|json| {
+                    serde_json::from_str(json)
+                        .map_err(|e| format!("job {i}: bad {} blob: {e}", blob.name()))
+                })
+                .transpose()
+        })
+        .collect()
+}
+
 impl TelemetryExport {
     /// Aggregates per-job telemetry blobs (as journaled in a manifest or
     /// drained from a [`TelemetrySink`]) into one export.
@@ -873,37 +851,11 @@ impl TelemetryExport {
         privacy_blobs: &[Option<String>],
         mem_blobs: &[Option<String>],
     ) -> Result<Self, String> {
-        let mut job_telemetry: Vec<Option<JobTelemetry>> = Vec::with_capacity(blobs.len());
-        for (i, blob) in blobs.iter().enumerate() {
-            match blob {
-                None => job_telemetry.push(None),
-                Some(json) => job_telemetry.push(Some(
-                    serde_json::from_str(json)
-                        .map_err(|e| format!("job {i}: bad telemetry blob: {e}"))?,
-                )),
-            }
-        }
-        let mut job_privacy: Vec<Option<JobPrivacy>> = Vec::with_capacity(blobs.len());
-        for i in 0..blobs.len() {
-            match privacy_blobs.get(i).and_then(Option::as_ref) {
-                None => job_privacy.push(None),
-                Some(json) => job_privacy.push(Some(
-                    serde_json::from_str(json)
-                        .map_err(|e| format!("job {i}: bad privacy blob: {e}"))?,
-                )),
-            }
-        }
-
-        let mut job_mem: Vec<Option<JobMem>> = Vec::with_capacity(blobs.len());
-        for i in 0..blobs.len() {
-            match mem_blobs.get(i).and_then(Option::as_ref) {
-                None => job_mem.push(None),
-                Some(json) => job_mem.push(Some(
-                    serde_json::from_str(json)
-                        .map_err(|e| format!("job {i}: bad mem blob: {e}"))?,
-                )),
-            }
-        }
+        let job_telemetry: Vec<Option<JobTelemetry>> =
+            parse_blobs(Blob::Telemetry, blobs, blobs.len())?;
+        let job_privacy: Vec<Option<JobPrivacy>> =
+            parse_blobs(Blob::Privacy, privacy_blobs, blobs.len())?;
+        let job_mem: Vec<Option<JobMem>> = parse_blobs(Blob::Mem, mem_blobs, blobs.len())?;
 
         let mut registry = MetricsRegistry::new();
         let deliveries = registry.counter(
@@ -1429,8 +1381,10 @@ mod tests {
         assert!(collector.enabled());
         let _ = collector.run(&sim, "unlimited");
         collector.finish();
-        assert_eq!(sink.get(0), None);
-        let blob = sink.get(1).expect("job 1 attached telemetry");
+        assert_eq!(sink.get(Blob::Telemetry, 0), None);
+        let blob = sink
+            .get(Blob::Telemetry, 1)
+            .expect("job 1 attached telemetry");
         let job: JobTelemetry = serde_json::from_str(&blob).unwrap();
         assert_eq!(job.scenarios.len(), 1);
         assert_eq!(job.scenarios[0].label, "unlimited");
@@ -1521,7 +1475,7 @@ mod tests {
         collector.finish();
         // Tracing observes without perturbing the outcome.
         assert_eq!(outcome, sim.run());
-        let blob = sink.get_trace(0).expect("trace attached");
+        let blob = sink.get(Blob::Trace, 0).expect("trace attached");
         let trace: JobTrace = serde_json::from_str(&blob).unwrap();
         assert_eq!(trace.scenarios.len(), 1);
         let log = &trace.scenarios[0].log;
@@ -1532,7 +1486,7 @@ mod tests {
         assert!(delivered > 0);
         // The Exp(mu) residence checks rode into the theory report and
         // pass on an unlimited-buffer exponential run.
-        let telemetry_blob = sink.get(0).unwrap();
+        let telemetry_blob = sink.get(Blob::Telemetry, 0).unwrap();
         let job: JobTelemetry = serde_json::from_str(&telemetry_blob).unwrap();
         let residence: Vec<&TheoryCheck> = job.scenarios[0]
             .theory
@@ -1639,7 +1593,7 @@ mod tests {
         collector.finish();
         // The observatory observes without perturbing the outcome.
         assert_eq!(outcome, sim.run());
-        let blob = sink.get_privacy(0).expect("privacy blob attached");
+        let blob = sink.get(Blob::Privacy, 0).expect("privacy blob attached");
         let privacy: JobPrivacy = serde_json::from_str(&blob).unwrap();
         assert_eq!(privacy.scenarios.len(), 1);
         assert_eq!(privacy.scenarios[0].label, "unlimited");
@@ -1692,7 +1646,7 @@ mod tests {
             serde_json::to_string(&plain).unwrap(),
             "profiled outcome serializes byte-identically"
         );
-        let blob = sink.get_spans(0).expect("spans attached");
+        let blob = sink.get(Blob::Spans, 0).expect("spans attached");
         let spans: JobSpans = serde_json::from_str(&blob).unwrap();
         // Job span first, then one scenario span, all on one trace.
         assert_eq!(spans.spans.len(), 2);
@@ -1746,7 +1700,7 @@ mod tests {
         let mut collector = JobTelemetryCollector::for_job(&runtime, 0);
         let _ = collector.run(&sim, "unlimited");
         collector.finish();
-        let blob = sink.get(0).unwrap();
+        let blob = sink.get(Blob::Telemetry, 0).unwrap();
         let job: JobTelemetry = serde_json::from_str(&blob).unwrap();
         let aoi = &job.scenarios[0].aoi;
         assert!(!aoi.is_empty(), "flight recording yields AoI per flow");
@@ -1786,6 +1740,87 @@ mod tests {
             "audited outcome serializes byte-identically"
         );
         assert!(digest.events() > 0, "the probe did observe events");
+    }
+
+    #[test]
+    fn collector_timer_restores_the_mem_phase_without_a_profiler() {
+        // The engine brackets nested regions as `prev = switch(X); ...;
+        // switch(prev)`. With the profiler off and the mem ledger on, the
+        // collector's timer must still report the phase it was in.
+        let mut timer = CollectorTimer {
+            profiler: None,
+            mem: Some(MemScopeTimer::new()),
+            current: Phase::EngineLoop,
+        };
+        timer.switch(Phase::Release);
+        let prev = timer.switch(Phase::QueuePush);
+        timer.switch(prev);
+        let mem = timer.mem.as_mut().unwrap();
+        assert_eq!(
+            mem.switch(Phase::Release),
+            Phase::Release,
+            "mem ledger back in Release"
+        );
+        let _ = timer.mem.take().unwrap().finish();
+
+        // A pair whose first half cannot record (what `(None, Some(mem))`
+        // would be) reports EngineLoop and misroutes the restore.
+        let mut naive = (tempriv_sim::profile::NoopPhaseTimer, MemScopeTimer::new());
+        naive.switch(Phase::Release);
+        let prev = naive.switch(Phase::QueuePush);
+        naive.switch(prev);
+        assert_eq!(naive.1.switch(Phase::Release), Phase::EngineLoop);
+        let _ = naive.1.finish();
+    }
+
+    #[test]
+    fn every_knob_combination_attaches_exactly_its_blobs() {
+        use std::sync::Arc;
+        let sim = paper_sim(BufferPolicy::paper_rcad(), TrafficModel::poisson(0.5));
+        let plain = sim.run();
+        let mut audit_root: Option<String> = None;
+        let mut privacy_series: Option<PrivacySeries> = None;
+        for mask in 0u32..32 {
+            let on = |bit: u32| mask & (1 << bit) != 0;
+            let (flight, privacy, spans, audit, mem) = (on(0), on(1), on(2), on(3), on(4));
+            let sink = Arc::new(TelemetrySink::new());
+            sink.set_trace_capacity(if flight { 1 << 12 } else { 0 });
+            sink.set_privacy_interval(if privacy { 25 } else { 0 });
+            sink.set_span_batch(if spans { 16 } else { 0 });
+            sink.set_digest_window(if audit { 256 } else { 0 });
+            sink.set_mem_profile(mem);
+            sink.reset(1);
+            let runtime = Runtime::builder()
+                .workers(1)
+                .telemetry_sink(sink.clone())
+                .build()
+                .unwrap();
+            let mut collector = JobTelemetryCollector::for_job(&runtime, 0);
+            let outcome = collector.run(&sim, "rcad");
+            collector.finish();
+            assert_eq!(outcome, plain, "mask {mask:05b}");
+            assert_eq!(outcome.rng_draws, plain.rng_draws, "mask {mask:05b}");
+            let expected = [true, flight, privacy, spans, audit, mem];
+            for blob in Blob::ALL {
+                assert_eq!(
+                    sink.get(blob, 0).is_some(),
+                    expected[blob.index()],
+                    "mask {mask:05b}: {blob:?}"
+                );
+            }
+            if let Some(json) = sink.get(Blob::Audit, 0) {
+                let job: JobAudit = serde_json::from_str(&json).unwrap();
+                let root = audit_root.get_or_insert_with(|| job.root.clone());
+                assert_eq!(&job.root, root, "mask {mask:05b}: audit root");
+            }
+            if let Some(json) = sink.get(Blob::Privacy, 0) {
+                let job: JobPrivacy = serde_json::from_str(&json).unwrap();
+                let series = &job.scenarios[0].series;
+                let first = privacy_series.get_or_insert_with(|| series.clone());
+                assert_eq!(series, first, "mask {mask:05b}: privacy series");
+            }
+        }
+        assert!(audit_root.is_some() && privacy_series.is_some());
     }
 
     #[test]
@@ -1829,7 +1864,7 @@ mod tests {
         let outcome = collector.run(&sim, "rcad");
         collector.finish();
         assert_eq!(outcome, sim.run(), "auditing does not perturb the run");
-        let blob = sink.get_audit(0).expect("audit blob attached");
+        let blob = sink.get(Blob::Audit, 0).expect("audit blob attached");
         let audit: JobAudit = serde_json::from_str(&blob).unwrap();
         assert_eq!(audit.scenarios.len(), 1);
         assert_eq!(audit.scenarios[0].label, "rcad");

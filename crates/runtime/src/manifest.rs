@@ -7,6 +7,8 @@
 //! flushed — the moment that job finishes. A crash therefore leaves a
 //! readable prefix; [`ManifestReader`] tolerates a torn final line.
 
+use crate::telemetry::Blob;
+use serde::value::{Error, Value};
 use serde::{Deserialize, Serialize};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -37,7 +39,12 @@ pub struct ManifestHeader {
 }
 
 /// One finished job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as a flat object: the five fixed fields, then one field
+/// per [`Blob`] family named by [`Blob::name`], in [`Blob::ALL`] order,
+/// `null` when absent. A line that omits a blob field (written before
+/// that family existed) reads it as `None`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job index within the run (also the output row position).
     pub index: usize,
@@ -50,44 +57,63 @@ pub struct JobRecord {
     /// Digest of the serialized outcome (same content-identity family as
     /// the cache keys), for cheap cross-run comparisons.
     pub outcome_digest: String,
-    /// Per-job telemetry blob (JSON, produced by an instrumented run),
-    /// attached only when the run collected telemetry and the job was
-    /// actually computed. `None` for cache-served jobs and for manifests
-    /// written before telemetry existed.
-    #[serde(default)]
-    pub telemetry: Option<String>,
-    /// Per-job flight-recorder trace blob (JSON), attached only when the
-    /// run traced packet lifecycles and the job was actually computed.
-    /// `None` for cache-served jobs and for manifests written before
-    /// tracing existed.
-    #[serde(default)]
-    pub trace: Option<String>,
-    /// Per-job streaming-privacy series blob (JSON), attached only when
-    /// the run enabled the privacy observatory and the job was actually
-    /// computed. `None` for cache-served jobs and for manifests written
-    /// before the observatory existed.
-    #[serde(default)]
-    pub privacy: Option<String>,
-    /// Per-job cross-layer span/profile blob (JSON), attached only when
-    /// the run traced spans and the job was actually computed. `None`
-    /// for cache-served jobs and for manifests written before span
-    /// tracing existed.
-    #[serde(default)]
-    pub spans: Option<String>,
-    /// Per-job determinism-audit digest blob (JSON `RunDigest`: windowed
-    /// checkpoints plus the run-root digest), attached only when the run
-    /// enabled auditing and the job was actually computed. `None` for
-    /// cache-served jobs and for manifests written before auditing
-    /// existed.
-    #[serde(default)]
-    pub audit: Option<String>,
-    /// Per-job allocation-ledger blob (JSON: per-slot allocs/bytes plus
-    /// allocs-per-delivered figures), attached only when the run enabled
-    /// memory profiling and the job was actually computed. `None` for
-    /// cache-served jobs and for manifests written before the memory
-    /// observatory existed.
-    #[serde(default)]
-    pub mem: Option<String>,
+    /// Per-job telemetry blobs (JSON), indexed by [`Blob::index`].
+    /// Attached only when the run collected that family and the job was
+    /// actually computed: cache-served jobs carry none.
+    pub blobs: [Option<String>; Blob::COUNT],
+}
+
+impl JobRecord {
+    /// The job's `blob`, if one was journaled.
+    #[must_use]
+    pub fn blob(&self, blob: Blob) -> Option<&str> {
+        self.blobs[blob.index()].as_deref()
+    }
+}
+
+impl Serialize for JobRecord {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("index".to_string(), self.index.to_value()),
+            ("key".to_string(), self.key.to_value()),
+            ("status".to_string(), self.status.to_value()),
+            ("wall_ms".to_string(), self.wall_ms.to_value()),
+            ("outcome_digest".to_string(), self.outcome_digest.to_value()),
+        ];
+        fields.extend(
+            Blob::ALL.map(|blob| (blob.name().to_string(), self.blobs[blob.index()].to_value())),
+        );
+        Value::Map(fields)
+    }
+}
+
+impl Deserialize for JobRecord {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, Error> {
+            v.get(name)
+                .map(|x| {
+                    T::from_value(x)
+                        .map_err(|e| e.context(&format!("field `{name}` of `JobRecord`")))
+                })
+                .transpose()
+        }
+        fn required<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
+            field(v, name)?
+                .ok_or_else(|| Error::new(format!("missing field `{name}` in `JobRecord`")))
+        }
+        let mut blobs: [Option<String>; Blob::COUNT] = Default::default();
+        for blob in Blob::ALL {
+            blobs[blob.index()] = field::<Option<String>>(v, blob.name())?.flatten();
+        }
+        Ok(JobRecord {
+            index: required(v, "index")?,
+            key: required(v, "key")?,
+            status: required(v, "status")?,
+            wall_ms: required(v, "wall_ms")?,
+            outcome_digest: required(v, "outcome_digest")?,
+            blobs,
+        })
+    }
 }
 
 /// An append-only, line-buffered manifest writer (thread-safe: jobs
@@ -229,83 +255,73 @@ mod tests {
             status: JobStatus::Computed,
             wall_ms: 12,
             outcome_digest: "00ff".to_string(),
-            telemetry: None,
-            trace: None,
-            privacy: None,
-            spans: None,
-            audit: None,
-            mem: None,
+            blobs: Default::default(),
         }
+    }
+
+    /// Verbatim job lines in the field-per-family format manifests have
+    /// always used: every blob set, every blob `null`, and a line written
+    /// before any blob family existed.
+    const ALL_BLOBS_LINE: &str = r#"{"index":3,"key":"k3","status":"Computed","wall_ms":41,"outcome_digest":"ab12","telemetry":"{\"scenarios\":[]}","trace":"{\"scenarios\":[]}","privacy":"{\"scenarios\":[]}","spans":"{\"spans\":[],\"profiles\":[]}","audit":"{\"scenarios\":[],\"root\":\"00\"}","mem":"{\"scenarios\":[]}"}"#;
+    const NULL_BLOBS_LINE: &str = r#"{"index":0,"key":"k0","status":"Cached","wall_ms":0,"outcome_digest":"cd34","telemetry":null,"trace":null,"privacy":null,"spans":null,"audit":null,"mem":null}"#;
+    const PRE_TELEMETRY_LINE: &str =
+        r#"{"index":0,"key":"k","status":"Computed","wall_ms":5,"outcome_digest":"ab"}"#;
+
+    #[test]
+    fn current_format_lines_parse_and_reserialize_byte_identically() {
+        let full: JobRecord = serde_json::from_str(ALL_BLOBS_LINE).unwrap();
+        assert_eq!(full.index, 3);
+        assert_eq!(full.status, JobStatus::Computed);
+        assert_eq!(full.blob(Blob::Telemetry), Some("{\"scenarios\":[]}"));
+        assert_eq!(
+            full.blob(Blob::Spans),
+            Some("{\"spans\":[],\"profiles\":[]}")
+        );
+        assert_eq!(
+            full.blob(Blob::Audit),
+            Some("{\"scenarios\":[],\"root\":\"00\"}")
+        );
+        assert!(Blob::ALL.iter().all(|&b| full.blob(b).is_some()));
+        assert_eq!(serde_json::to_string(&full).unwrap(), ALL_BLOBS_LINE);
+
+        let empty: JobRecord = serde_json::from_str(NULL_BLOBS_LINE).unwrap();
+        assert_eq!(empty.status, JobStatus::Cached);
+        assert!(Blob::ALL.iter().all(|&b| empty.blob(b).is_none()));
+        assert_eq!(serde_json::to_string(&empty).unwrap(), NULL_BLOBS_LINE);
     }
 
     #[test]
     fn pre_telemetry_records_still_parse() {
-        // Manifests written before the telemetry field existed must stay
-        // readable: the field defaults to None when absent.
-        let line = "{\"index\":0,\"key\":\"k\",\"status\":\"Computed\",\
-                    \"wall_ms\":5,\"outcome_digest\":\"ab\"}";
-        let old: JobRecord = serde_json::from_str(line).unwrap();
-        assert_eq!(old.telemetry, None);
-        assert_eq!(old.trace, None);
-        assert_eq!(old.privacy, None);
-        assert_eq!(old.spans, None);
-        assert_eq!(old.audit, None);
-        assert_eq!(old.mem, None);
+        // Manifests written before any blob field existed must stay
+        // readable: every family defaults to None when absent.
+        let old: JobRecord = serde_json::from_str(PRE_TELEMETRY_LINE).unwrap();
+        assert!(Blob::ALL.iter().all(|&b| old.blob(b).is_none()));
         assert_eq!(old.index, 0);
+        assert_eq!(old.outcome_digest, "ab");
     }
 
     #[test]
-    fn mem_blob_round_trips() {
-        let mut r = record(5);
-        r.mem = Some("{\"slots\":[],\"total_allocs\":0}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
+    fn malformed_records_are_rejected() {
+        let missing = r#"{"index":0,"status":"Computed","wall_ms":5,"outcome_digest":"ab"}"#;
+        assert!(serde_json::from_str::<JobRecord>(missing).is_err());
+        let bad_blob = r#"{"index":0,"key":"k","status":"Computed","wall_ms":5,"outcome_digest":"ab","trace":7}"#;
+        assert!(serde_json::from_str::<JobRecord>(bad_blob).is_err());
+        assert!(serde_json::from_str::<JobRecord>("[1,2]").is_err());
     }
 
     #[test]
-    fn audit_blob_round_trips() {
-        let mut r = record(4);
-        r.audit = Some("{\"checkpoints\":[],\"root\":\"00\"}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn spans_blob_round_trips() {
-        let mut r = record(3);
-        r.spans = Some("{\"spans\":[],\"profiles\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn privacy_blob_round_trips() {
-        let mut r = record(2);
-        r.privacy = Some("{\"points\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn trace_blob_round_trips() {
-        let mut r = record(1);
-        r.trace = Some("{\"traceEvents\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn telemetry_blob_round_trips() {
-        let mut r = record(0);
-        r.telemetry = Some("{\"nodes\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
+    fn every_blob_round_trips_alone() {
+        for blob in Blob::ALL {
+            let mut r = record(blob.index());
+            r.blobs[blob.index()] = Some(format!("{{\"{}\":[]}}", blob.name()));
+            let line = serde_json::to_string(&r).unwrap();
+            let back: JobRecord = serde_json::from_str(&line).unwrap();
+            assert_eq!(back, r, "{blob:?}");
+            assert_eq!(back.blob(blob), r.blob(blob));
+            for other in Blob::ALL.into_iter().filter(|&b| b != blob) {
+                assert_eq!(back.blob(other), None, "{blob:?} leaked into {other:?}");
+            }
+        }
     }
 
     #[test]

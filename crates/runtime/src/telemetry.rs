@@ -14,22 +14,74 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+/// A per-job telemetry blob family. Each family has one slot per job in
+/// the [`TelemetrySink`] and one same-named field in every manifest
+/// [`JobRecord`](crate::JobRecord).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Blob {
+    /// Aggregate simulation telemetry plus theory cross-checks.
+    Telemetry,
+    /// Flight-recorder packet lifecycles.
+    Trace,
+    /// Streaming privacy-observatory series.
+    Privacy,
+    /// Cross-layer spans and engine phase profiles.
+    Spans,
+    /// Determinism-audit digests.
+    Audit,
+    /// Phase-attributed allocation ledgers.
+    Mem,
+}
+
+impl Blob {
+    /// Number of blob families.
+    pub const COUNT: usize = 6;
+
+    /// Every family, in manifest field order.
+    pub const ALL: [Blob; Blob::COUNT] = [
+        Blob::Telemetry,
+        Blob::Trace,
+        Blob::Privacy,
+        Blob::Spans,
+        Blob::Audit,
+        Blob::Mem,
+    ];
+
+    /// Dense index of this family (`0..COUNT`).
+    #[must_use]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The family's manifest field name.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Blob::Telemetry => "telemetry",
+            Blob::Trace => "trace",
+            Blob::Privacy => "privacy",
+            Blob::Spans => "spans",
+            Blob::Audit => "audit",
+            Blob::Mem => "mem",
+        }
+    }
+}
+
 /// A slot-per-job mailbox for telemetry blobs, shared between the
 /// runtime and job closures.
 ///
 /// Thread-safe: jobs run on pool workers, each writing only its own
-/// slot. Next to the telemetry slots the sink keeps four parallel blob
-/// families: *trace* slots for flight-recorder blobs (with the ring
-/// capacity the run's recorders should use,
-/// [`TelemetrySink::trace_capacity`], 0 = tracing off), *privacy*
-/// slots for streaming privacy-observatory series (with the snapshot
-/// interval [`TelemetrySink::privacy_interval`], 0 = observatory off),
-/// *span* slots for cross-layer span/profile blobs (with the phase
-/// switch batch [`TelemetrySink::span_batch`], 0 = span tracing off),
-/// *audit* slots for determinism-audit digest blobs (with the
-/// checkpoint window [`TelemetrySink::digest_window`], 0 = audit off),
-/// and *mem* slots for allocation-ledger blobs (gated by
-/// [`TelemetrySink::mem_profile`], off by default).
+/// slots. Every [`Blob`] family keeps one slot per job behind a single
+/// lock. Five knobs tell jobs which families to collect:
+/// [`trace_capacity`](TelemetrySink::trace_capacity) (flight-recorder
+/// ring size, 0 = tracing off),
+/// [`privacy_interval`](TelemetrySink::privacy_interval) (deliveries
+/// between privacy snapshots, 0 = observatory off),
+/// [`span_batch`](TelemetrySink::span_batch) (phase-switch batch,
+/// 0 = span tracing off), [`digest_window`](TelemetrySink::digest_window)
+/// (events per audit checkpoint, 0 = audit off), and
+/// [`mem_profile`](TelemetrySink::mem_profile) (allocation ledgers, off
+/// by default). The telemetry family itself is always collected.
 ///
 /// For span tracing the sink also carries a root trace context — two
 /// raw ids set by the layer that minted the trace (e.g. the HTTP
@@ -39,16 +91,11 @@ use std::time::Instant;
 /// before submitting work.
 #[derive(Debug)]
 pub struct TelemetrySink {
-    slots: Mutex<Vec<Option<String>>>,
-    trace_slots: Mutex<Vec<Option<String>>>,
+    slots: Mutex<[Vec<Option<String>>; Blob::COUNT]>,
     trace_capacity: AtomicUsize,
-    privacy_slots: Mutex<Vec<Option<String>>>,
     privacy_interval: AtomicUsize,
-    span_slots: Mutex<Vec<Option<String>>>,
     span_batch: AtomicUsize,
-    audit_slots: Mutex<Vec<Option<String>>>,
     digest_window: AtomicUsize,
-    mem_slots: Mutex<Vec<Option<String>>>,
     mem_profile: AtomicUsize,
     root_trace_id: AtomicU64,
     root_span_id: AtomicU64,
@@ -66,16 +113,11 @@ impl TelemetrySink {
     #[must_use]
     pub fn new() -> Self {
         TelemetrySink {
-            slots: Mutex::new(Vec::new()),
-            trace_slots: Mutex::new(Vec::new()),
+            slots: Mutex::new(Default::default()),
             trace_capacity: AtomicUsize::new(0),
-            privacy_slots: Mutex::new(Vec::new()),
             privacy_interval: AtomicUsize::new(0),
-            span_slots: Mutex::new(Vec::new()),
             span_batch: AtomicUsize::new(0),
-            audit_slots: Mutex::new(Vec::new()),
             digest_window: AtomicUsize::new(0),
-            mem_slots: Mutex::new(Vec::new()),
             mem_profile: AtomicUsize::new(0),
             root_trace_id: AtomicU64::new(0),
             root_span_id: AtomicU64::new(0),
@@ -83,32 +125,60 @@ impl TelemetrySink {
         }
     }
 
-    /// Clears the sink and resizes it to `jobs` empty slots. Called by
-    /// the runtime at the start of each run.
+    /// Clears every family and resizes it to `jobs` empty slots. Called
+    /// by the runtime at the start of each run.
     pub fn reset(&self, jobs: usize) {
         let mut slots = self.slots.lock().expect("telemetry sink lock");
-        slots.clear();
-        slots.resize(jobs, None);
-        drop(slots);
-        let mut traces = self.trace_slots.lock().expect("trace sink lock");
-        traces.clear();
-        traces.resize(jobs, None);
-        drop(traces);
-        let mut privacy = self.privacy_slots.lock().expect("privacy sink lock");
-        privacy.clear();
-        privacy.resize(jobs, None);
-        drop(privacy);
-        let mut spans = self.span_slots.lock().expect("span sink lock");
-        spans.clear();
-        spans.resize(jobs, None);
-        drop(spans);
-        let mut audits = self.audit_slots.lock().expect("audit sink lock");
-        audits.clear();
-        audits.resize(jobs, None);
-        drop(audits);
-        let mut mems = self.mem_slots.lock().expect("mem sink lock");
-        mems.clear();
-        mems.resize(jobs, None);
+        for family in slots.iter_mut() {
+            family.clear();
+            family.resize(jobs, None);
+        }
+    }
+
+    /// Attaches job `index`'s `blob` (JSON). Silently ignored if the
+    /// sink was not sized for `index` — a job can always attach without
+    /// caring whether telemetry collection is active this run.
+    pub fn attach(&self, blob: Blob, index: usize, json: impl Into<String>) {
+        let mut slots = self.slots.lock().expect("telemetry sink lock");
+        if let Some(slot) = slots[blob.index()].get_mut(index) {
+            *slot = Some(json.into());
+        }
+    }
+
+    /// A copy of job `index`'s `blob`, if one was attached.
+    #[must_use]
+    pub fn get(&self, blob: Blob, index: usize) -> Option<String> {
+        let slots = self.slots.lock().expect("telemetry sink lock");
+        slots[blob.index()].get(index).and_then(Clone::clone)
+    }
+
+    /// Every job's `blob` in job order (one entry per slot), draining
+    /// that family.
+    #[must_use]
+    pub fn take(&self, blob: Blob) -> Vec<Option<String>> {
+        let mut slots = self.slots.lock().expect("telemetry sink lock");
+        std::mem::take(&mut slots[blob.index()])
+    }
+
+    /// `take(Blob::Telemetry)`; kept because the `perfbench` harness
+    /// calls it by name.
+    #[must_use]
+    pub fn take_all(&self) -> Vec<Option<String>> {
+        self.take(Blob::Telemetry)
+    }
+
+    /// `take(Blob::Privacy)`; kept because the `perfbench` harness
+    /// calls it by name.
+    #[must_use]
+    pub fn take_all_privacy(&self) -> Vec<Option<String>> {
+        self.take(Blob::Privacy)
+    }
+
+    /// `take(Blob::Mem)`; kept because the `perfbench` harness calls it
+    /// by name.
+    #[must_use]
+    pub fn take_all_mem(&self) -> Vec<Option<String>> {
+        self.take(Blob::Mem)
     }
 
     /// Sets the flight-recorder ring capacity jobs should trace with.
@@ -123,65 +193,6 @@ impl TelemetrySink {
         self.trace_capacity.load(Ordering::Relaxed)
     }
 
-    /// Attaches job `index`'s telemetry blob (JSON). Silently ignored if
-    /// the sink was not sized for `index` — a job can always attach
-    /// without caring whether telemetry collection is active this run.
-    pub fn attach(&self, index: usize, json: impl Into<String>) {
-        let mut slots = self.slots.lock().expect("telemetry sink lock");
-        if let Some(slot) = slots.get_mut(index) {
-            *slot = Some(json.into());
-        }
-    }
-
-    /// A copy of job `index`'s blob, if one was attached.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<String> {
-        let slots = self.slots.lock().expect("telemetry sink lock");
-        slots.get(index).and_then(Clone::clone)
-    }
-
-    /// Number of slots (jobs) the sink is currently sized for.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("telemetry sink lock").len()
-    }
-
-    /// `true` when the sink has no slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All blobs in job order (one entry per slot), draining the sink.
-    #[must_use]
-    pub fn take_all(&self) -> Vec<Option<String>> {
-        let mut slots = self.slots.lock().expect("telemetry sink lock");
-        std::mem::take(&mut *slots)
-    }
-
-    /// Attaches job `index`'s flight-recorder trace blob (JSON). Like
-    /// [`TelemetrySink::attach`], silently ignored when out of range.
-    pub fn attach_trace(&self, index: usize, json: impl Into<String>) {
-        let mut traces = self.trace_slots.lock().expect("trace sink lock");
-        if let Some(slot) = traces.get_mut(index) {
-            *slot = Some(json.into());
-        }
-    }
-
-    /// A copy of job `index`'s trace blob, if one was attached.
-    #[must_use]
-    pub fn get_trace(&self, index: usize) -> Option<String> {
-        let traces = self.trace_slots.lock().expect("trace sink lock");
-        traces.get(index).and_then(Clone::clone)
-    }
-
-    /// All trace blobs in job order, draining the trace slots.
-    #[must_use]
-    pub fn take_all_traces(&self) -> Vec<Option<String>> {
-        let mut traces = self.trace_slots.lock().expect("trace sink lock");
-        std::mem::take(&mut *traces)
-    }
-
     /// Sets the delivery interval between streaming-privacy snapshots.
     /// Zero (the default) disables the privacy observatory.
     pub fn set_privacy_interval(&self, interval: usize) {
@@ -192,29 +203,6 @@ impl TelemetrySink {
     #[must_use]
     pub fn privacy_interval(&self) -> usize {
         self.privacy_interval.load(Ordering::Relaxed)
-    }
-
-    /// Attaches job `index`'s privacy-series blob (JSON). Like
-    /// [`TelemetrySink::attach`], silently ignored when out of range.
-    pub fn attach_privacy(&self, index: usize, json: impl Into<String>) {
-        let mut privacy = self.privacy_slots.lock().expect("privacy sink lock");
-        if let Some(slot) = privacy.get_mut(index) {
-            *slot = Some(json.into());
-        }
-    }
-
-    /// A copy of job `index`'s privacy blob, if one was attached.
-    #[must_use]
-    pub fn get_privacy(&self, index: usize) -> Option<String> {
-        let privacy = self.privacy_slots.lock().expect("privacy sink lock");
-        privacy.get(index).and_then(Clone::clone)
-    }
-
-    /// All privacy blobs in job order, draining the privacy slots.
-    #[must_use]
-    pub fn take_all_privacy(&self) -> Vec<Option<String>> {
-        let mut privacy = self.privacy_slots.lock().expect("privacy sink lock");
-        std::mem::take(&mut *privacy)
     }
 
     /// Sets the phase-switch batch span-tracing jobs should profile
@@ -254,29 +242,6 @@ impl TelemetrySink {
         self.epoch
     }
 
-    /// Attaches job `index`'s span/profile blob (JSON). Like
-    /// [`TelemetrySink::attach`], silently ignored when out of range.
-    pub fn attach_spans(&self, index: usize, json: impl Into<String>) {
-        let mut spans = self.span_slots.lock().expect("span sink lock");
-        if let Some(slot) = spans.get_mut(index) {
-            *slot = Some(json.into());
-        }
-    }
-
-    /// A copy of job `index`'s span blob, if one was attached.
-    #[must_use]
-    pub fn get_spans(&self, index: usize) -> Option<String> {
-        let spans = self.span_slots.lock().expect("span sink lock");
-        spans.get(index).and_then(Clone::clone)
-    }
-
-    /// All span blobs in job order, draining the span slots.
-    #[must_use]
-    pub fn take_all_spans(&self) -> Vec<Option<String>> {
-        let mut spans = self.span_slots.lock().expect("span sink lock");
-        std::mem::take(&mut *spans)
-    }
-
     /// Sets the checkpoint window (events per digest window) audit-probe
     /// jobs should digest with. Zero (the default) disables auditing.
     pub fn set_digest_window(&self, window: usize) {
@@ -287,29 +252,6 @@ impl TelemetrySink {
     #[must_use]
     pub fn digest_window(&self) -> usize {
         self.digest_window.load(Ordering::Relaxed)
-    }
-
-    /// Attaches job `index`'s audit-digest blob (JSON). Like
-    /// [`TelemetrySink::attach`], silently ignored when out of range.
-    pub fn attach_audit(&self, index: usize, json: impl Into<String>) {
-        let mut audits = self.audit_slots.lock().expect("audit sink lock");
-        if let Some(slot) = audits.get_mut(index) {
-            *slot = Some(json.into());
-        }
-    }
-
-    /// A copy of job `index`'s audit blob, if one was attached.
-    #[must_use]
-    pub fn get_audit(&self, index: usize) -> Option<String> {
-        let audits = self.audit_slots.lock().expect("audit sink lock");
-        audits.get(index).and_then(Clone::clone)
-    }
-
-    /// All audit blobs in job order, draining the audit slots.
-    #[must_use]
-    pub fn take_all_audit(&self) -> Vec<Option<String>> {
-        let mut audits = self.audit_slots.lock().expect("audit sink lock");
-        std::mem::take(&mut *audits)
     }
 
     /// Turns per-job allocation-ledger collection on or off for this
@@ -324,29 +266,6 @@ impl TelemetrySink {
     pub fn mem_profile(&self) -> bool {
         self.mem_profile.load(Ordering::Relaxed) != 0
     }
-
-    /// Attaches job `index`'s allocation-ledger blob (JSON). Like
-    /// [`TelemetrySink::attach`], silently ignored when out of range.
-    pub fn attach_mem(&self, index: usize, json: impl Into<String>) {
-        let mut mems = self.mem_slots.lock().expect("mem sink lock");
-        if let Some(slot) = mems.get_mut(index) {
-            *slot = Some(json.into());
-        }
-    }
-
-    /// A copy of job `index`'s mem blob, if one was attached.
-    #[must_use]
-    pub fn get_mem(&self, index: usize) -> Option<String> {
-        let mems = self.mem_slots.lock().expect("mem sink lock");
-        mems.get(index).and_then(Clone::clone)
-    }
-
-    /// All mem blobs in job order, draining the mem slots.
-    #[must_use]
-    pub fn take_all_mem(&self) -> Vec<Option<String>> {
-        let mut mems = self.mem_slots.lock().expect("mem sink lock");
-        std::mem::take(&mut *mems)
-    }
 }
 
 #[cfg(test)]
@@ -354,52 +273,66 @@ mod tests {
     use super::*;
 
     #[test]
-    fn attach_and_take_in_job_order() {
-        let sink = TelemetrySink::new();
-        sink.reset(3);
-        sink.attach(2, "{\"c\":1}");
-        sink.attach(0, "{\"a\":1}");
-        assert_eq!(sink.get(0).as_deref(), Some("{\"a\":1}"));
-        assert_eq!(sink.get(1), None);
-        let all = sink.take_all();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0].as_deref(), Some("{\"a\":1}"));
-        assert_eq!(all[1], None);
-        assert_eq!(all[2].as_deref(), Some("{\"c\":1}"));
-        assert!(sink.is_empty(), "take_all drains");
+    fn blob_names_are_distinct_and_indexed() {
+        for (i, blob) in Blob::ALL.iter().enumerate() {
+            assert_eq!(blob.index(), i);
+        }
+        let mut names: Vec<_> = Blob::ALL.iter().map(|b| b.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Blob::COUNT);
     }
 
     #[test]
-    fn attach_out_of_range_is_ignored() {
+    fn every_family_attaches_and_takes_in_job_order() {
+        for blob in Blob::ALL {
+            let sink = TelemetrySink::new();
+            sink.reset(3);
+            sink.attach(blob, 2, "{\"c\":1}");
+            sink.attach(blob, 0, "{\"a\":1}");
+            sink.attach(blob, 7, "{}"); // out of range: ignored
+            assert_eq!(sink.get(blob, 0).as_deref(), Some("{\"a\":1}"));
+            assert_eq!(sink.get(blob, 1), None);
+            assert_eq!(sink.get(blob, 7), None);
+            for other in Blob::ALL.into_iter().filter(|&b| b != blob) {
+                assert_eq!(sink.get(other, 0), None, "{blob:?} leaked into {other:?}");
+            }
+            let all = sink.take(blob);
+            assert_eq!(all.len(), 3, "{blob:?}");
+            assert_eq!(all[0].as_deref(), Some("{\"a\":1}"));
+            assert_eq!(all[1], None);
+            assert_eq!(all[2].as_deref(), Some("{\"c\":1}"));
+            assert!(sink.take(blob).is_empty(), "take drains {blob:?}");
+            assert_eq!(
+                sink.take(Blob::ALL[(blob.index() + 1) % Blob::COUNT]).len(),
+                3
+            );
+        }
+    }
+
+    #[test]
+    fn take_all_forwards_keep_their_families() {
         let sink = TelemetrySink::new();
         sink.reset(1);
-        sink.attach(5, "{}");
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.get(5), None);
+        sink.attach(Blob::Telemetry, 0, "t");
+        sink.attach(Blob::Privacy, 0, "p");
+        sink.attach(Blob::Mem, 0, "m");
+        assert_eq!(sink.take_all(), vec![Some("t".to_string())]);
+        assert_eq!(sink.take_all_privacy(), vec![Some("p".to_string())]);
+        assert_eq!(sink.take_all_mem(), vec![Some("m".to_string())]);
     }
 
     #[test]
     fn reset_clears_previous_run() {
         let sink = TelemetrySink::new();
         sink.reset(2);
-        sink.attach(0, "old");
+        for blob in Blob::ALL {
+            sink.attach(blob, 0, "old");
+        }
         sink.reset(2);
-        assert_eq!(sink.get(0), None);
-    }
-
-    #[test]
-    fn trace_slots_mirror_telemetry_slots() {
-        let sink = TelemetrySink::new();
-        sink.reset(2);
-        sink.attach_trace(1, "{\"events\":[]}");
-        assert_eq!(sink.get_trace(0), None);
-        assert_eq!(sink.get_trace(1).as_deref(), Some("{\"events\":[]}"));
-        sink.attach_trace(7, "{}"); // out of range: ignored
-        let all = sink.take_all_traces();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[1].as_deref(), Some("{\"events\":[]}"));
-        sink.reset(1);
-        assert_eq!(sink.get_trace(1), None, "reset clears trace slots");
+        for blob in Blob::ALL {
+            assert_eq!(sink.get(blob, 0), None, "reset clears {blob:?}");
+        }
     }
 
     #[test]
@@ -411,41 +344,11 @@ mod tests {
     }
 
     #[test]
-    fn privacy_slots_mirror_telemetry_slots() {
-        let sink = TelemetrySink::new();
-        sink.reset(2);
-        sink.attach_privacy(1, "{\"points\":[]}");
-        assert_eq!(sink.get_privacy(0), None);
-        assert_eq!(sink.get_privacy(1).as_deref(), Some("{\"points\":[]}"));
-        sink.attach_privacy(7, "{}"); // out of range: ignored
-        let all = sink.take_all_privacy();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[1].as_deref(), Some("{\"points\":[]}"));
-        sink.reset(1);
-        assert_eq!(sink.get_privacy(1), None, "reset clears privacy slots");
-    }
-
-    #[test]
     fn privacy_interval_defaults_to_off() {
         let sink = TelemetrySink::new();
         assert_eq!(sink.privacy_interval(), 0);
         sink.set_privacy_interval(100);
         assert_eq!(sink.privacy_interval(), 100);
-    }
-
-    #[test]
-    fn span_slots_mirror_telemetry_slots() {
-        let sink = TelemetrySink::new();
-        sink.reset(2);
-        sink.attach_spans(1, "{\"spans\":[]}");
-        assert_eq!(sink.get_spans(0), None);
-        assert_eq!(sink.get_spans(1).as_deref(), Some("{\"spans\":[]}"));
-        sink.attach_spans(7, "{}"); // out of range: ignored
-        let all = sink.take_all_spans();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[1].as_deref(), Some("{\"spans\":[]}"));
-        sink.reset(1);
-        assert_eq!(sink.get_spans(1), None, "reset clears span slots");
     }
 
     #[test]
@@ -457,41 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn audit_slots_mirror_telemetry_slots() {
-        let sink = TelemetrySink::new();
-        sink.reset(2);
-        sink.attach_audit(1, "{\"root\":\"00\"}");
-        assert_eq!(sink.get_audit(0), None);
-        assert_eq!(sink.get_audit(1).as_deref(), Some("{\"root\":\"00\"}"));
-        sink.attach_audit(7, "{}"); // out of range: ignored
-        let all = sink.take_all_audit();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[1].as_deref(), Some("{\"root\":\"00\"}"));
-        sink.reset(1);
-        assert_eq!(sink.get_audit(1), None, "reset clears audit slots");
-    }
-
-    #[test]
     fn digest_window_defaults_to_off() {
         let sink = TelemetrySink::new();
         assert_eq!(sink.digest_window(), 0);
         sink.set_digest_window(4096);
         assert_eq!(sink.digest_window(), 4096);
-    }
-
-    #[test]
-    fn mem_slots_mirror_telemetry_slots() {
-        let sink = TelemetrySink::new();
-        sink.reset(2);
-        sink.attach_mem(1, "{\"slots\":[]}");
-        assert_eq!(sink.get_mem(0), None);
-        assert_eq!(sink.get_mem(1).as_deref(), Some("{\"slots\":[]}"));
-        sink.attach_mem(7, "{}"); // out of range: ignored
-        let all = sink.take_all_mem();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[1].as_deref(), Some("{\"slots\":[]}"));
-        sink.reset(1);
-        assert_eq!(sink.get_mem(1), None, "reset clears mem slots");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use tempriv_core::experiment::{
 };
 use tempriv_core::telemetry::JobAudit;
 use tempriv_net::FlowId;
-use tempriv_runtime::{content_digest, Runtime, TelemetrySink};
+use tempriv_runtime::{content_digest, Blob, Runtime, TelemetrySink};
 use tempriv_telemetry::DEFAULT_DIGEST_WINDOW;
 
 /// Experiment names [`execute`] understands.
@@ -246,7 +246,7 @@ pub fn digest_key(key: &str) -> String {
 pub fn collect_digest(sink: &TelemetrySink, points: usize) -> Option<String> {
     let mut audits = Vec::with_capacity(points);
     for point in 0..points {
-        let blob = sink.get_audit(point)?;
+        let blob = sink.get(Blob::Audit, point)?;
         audits.push(serde_json::from_str::<JobAudit>(&blob).ok()?);
     }
     let mut lines = String::new();
@@ -384,7 +384,7 @@ mod tests {
         let sink = Arc::new(TelemetrySink::new());
         sink.set_root_ctx(0xabcd, 0xef01);
         execute(&spec, Some(Arc::clone(&sink))).unwrap();
-        let blobs = sink.take_all_spans();
+        let blobs = sink.take(Blob::Spans);
         assert_eq!(blobs.len(), spec.points());
         let spans: JobSpans = serde_json::from_str(blobs[0].as_deref().unwrap()).unwrap();
         assert!(!spans.spans.is_empty());
@@ -393,7 +393,7 @@ mod tests {
         let trace_id = spans.spans[0].trace_id;
         assert!(spans.spans.iter().all(|s| s.trace_id == trace_id));
         // Tracing implies flight recording.
-        assert!(sink.get_trace(0).is_some());
+        assert!(sink.get(Blob::Trace, 0).is_some());
     }
 
     #[test]
@@ -403,7 +403,7 @@ mod tests {
         let spec = raw.canonicalize().unwrap();
         let sink = Arc::new(TelemetrySink::new());
         execute(&spec, Some(Arc::clone(&sink))).unwrap();
-        let blobs = sink.take_all_privacy();
+        let blobs = sink.take(Blob::Privacy);
         assert_eq!(blobs.len(), spec.points());
         assert!(blobs[0].as_deref().is_some_and(|b| b.contains("series")));
     }

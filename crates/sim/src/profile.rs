@@ -90,6 +90,14 @@ impl Phase {
 /// timer.switch(prev);
 /// ```
 ///
+/// **Phase-restore rule.** The engine restores every bracketed region
+/// with `timer.switch(prev)`, so a recording timer must return the phase
+/// it was actually in before the call. A composite must report a
+/// previous phase it tracked itself: the pair below reports its first
+/// member's, so a pair whose first member is absent or non-recording
+/// (reporting [`Phase::EngineLoop`] for everything) would send each
+/// nested restore back to `EngineLoop` in the second member.
+///
 /// Implementations must be pure observers: no RNG, no scheduling, no
 /// effect on simulation state. Timing is wall-clock and therefore
 /// nondeterministic; it must never leak into outcomes or digests.
@@ -119,7 +127,8 @@ impl<T: PhaseTimer + ?Sized> PhaseTimer for &mut T {
 /// Fans one phase switch out to two timers (e.g. a wall-clock profiler
 /// paired with an allocation-scope timer). The pair reports the first
 /// timer's notion of the previous phase; both receive every switch, so
-/// their attributions stay aligned.
+/// their attributions stay aligned as long as the first member records
+/// (see the phase-restore rule on [`PhaseTimer`]).
 impl<A: PhaseTimer, B: PhaseTimer> PhaseTimer for (A, B) {
     #[inline]
     fn switch(&mut self, phase: Phase) -> Phase {
