@@ -1,13 +1,12 @@
 //! Perf baseline for the observability layer and the discrete-event
-//! core. `--bench trace` (the default) times the flight-recorder ring on
-//! the four-flow Figure-1 sweep and writes `BENCH_trace.json`;
-//! `--bench privacy` times the streaming privacy observatory
-//! (`BENCH_privacy.json`); `--bench span` times the engine self-profiler
-//! (`BENCH_span.json`); `--bench audit` times the windowed determinism
-//! digest probe (`BENCH_audit.json`); `--bench mem` times the
-//! counting-allocator observatory and ledgers allocs per delivered
-//! packet across the seven buffer/victim configs plus 100/1k/10k scale
-//! points (`BENCH_mem.json`); `--bench scale` sweeps random
+//! core. `--bench overhead` (the default) times every probe on the
+//! four-flow Figure-1 sweep — `probes_off`, `metrics`, then the flight
+//! recorder (`tracing`), streaming privacy observatory (`privacy`),
+//! engine self-profiler (`profiled`), windowed determinism digest
+//! (`audited`) and counting-allocator observatory (`mem`), each composed
+//! over the metrics probe — and ledgers allocs per delivered packet
+//! across the seven buffer/victim configs plus 100/1k/10k scale points,
+//! all into one `BENCH_overhead.json`. `--bench scale` sweeps random
 //! geometric convergecast fields at ~100/1k/10k nodes and writes
 //! `BENCH_core.json` (events/sec, peak future-event-set size, wall
 //! seconds per mode).
@@ -15,8 +14,7 @@
 //! ```text
 //! cargo run --release -p tempriv-bench --bin perf_baseline
 //! cargo run --release -p tempriv-bench --bin perf_baseline -- \
-//!     --packets 100 --points 2,20 --repeats 2 --out BENCH_trace.json
-//! cargo run --release -p tempriv-bench --bin perf_baseline -- --bench privacy
+//!     --packets 100 --points 2,20 --repeats 2 --out BENCH_overhead.json
 //! cargo run --release -p tempriv-bench --bin perf_baseline -- \
 //!     --bench scale --nodes 100,1000,10000 --baseline results/BENCH_core.json
 //! ```
@@ -24,17 +22,19 @@
 //! Each mode runs the identical deterministic sweep (same seeds, same
 //! event sequence — the probe layer observes and never samples), so the
 //! wall-clock deltas isolate instrumentation cost. Per point the minimum
-//! over `--repeats` runs is kept, the standard guard against scheduler
-//! noise. For `--bench scale`, `--baseline` points at a previous
-//! `BENCH_core.json`; its `probes_off` events/sec are embedded per point
-//! and a speedup ratio computed, which is how before/after comparisons
-//! of core data-structure work are recorded.
+//! over `--repeats` runs is reported, and each overhead ratio is the
+//! median of same-repeat ratios (see `tempriv_bench::harness`). The
+//! overhead gates are not applied here: `tempriv report --bench` holds
+//! the one gate table. For `--bench scale`, `--baseline`
+//! points at a previous `BENCH_core.json`; its `probes_off` events/sec
+//! are embedded per point and a speedup ratio computed, which is how
+//! before/after comparisons of core data-structure work are recorded.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use serde::{Deserialize, Serialize};
-use tempriv_bench::harness::{best_of_interleaved, ModeTiming, OverheadSummary};
+use tempriv_bench::harness::{best_of_interleaved, time_interleaved, ModeTiming, OverheadSummary};
 use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
 use tempriv_core::delay::DelayPlan;
 use tempriv_core::sim_driver::NetworkSimulation;
@@ -49,126 +49,36 @@ use tempriv_telemetry::{
     memprof, DigestProbe, FlightRecorder, MemScopeTimer, PhaseProfiler, RecordingProbe,
 };
 
-/// The mem bench counts through the real allocator; the other modes
-/// leave the gate off and pay one relaxed load per allocation.
+/// The `mem` mode and the allocation ledger count through the real
+/// allocator; the other modes leave the gate off and pay one relaxed
+/// load per allocation.
 #[global_allocator]
 static ALLOC: tempriv_telemetry::CountingAlloc = tempriv_telemetry::CountingAlloc;
 
-/// Which instrumented mode the third timing column measures.
+/// Which benchmark to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BenchKind {
-    /// Flight-recorder ring (`BENCH_trace.json`).
-    Trace,
-    /// Streaming privacy observatory (`BENCH_privacy.json`).
-    Privacy,
-    /// Engine self-profiler with batched timers (`BENCH_span.json`).
-    Span,
-    /// Windowed determinism digest probe (`BENCH_audit.json`).
-    Audit,
-    /// Counting-allocator observatory (`BENCH_mem.json`).
-    Mem,
+    /// Every probe's cost on the Figure-1 sweep plus the allocation
+    /// ledger (`BENCH_overhead.json`).
+    Overhead,
     /// Discrete-event core throughput on geometric fields (`BENCH_core.json`).
     Scale,
 }
 
-/// The `BENCH_trace.json` payload.
-#[derive(Debug, Serialize)]
-struct BenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, tracing.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `tracing total / probes_off total`.
-    tracing_over_probes_off: f64,
-    /// `tracing total / metrics total` — the ring-buffer increment.
-    tracing_over_metrics: f64,
-    /// Ring-buffer overhead in percent: `(tracing/metrics - 1) * 100`.
-    tracing_overhead_pct: f64,
-}
-
-/// The `BENCH_privacy.json` payload.
-#[derive(Debug, Serialize)]
-struct PrivacyBenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, privacy.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `privacy total / probes_off total`.
-    privacy_over_probes_off: f64,
-    /// `privacy total / metrics total` — the observatory increment.
-    privacy_over_metrics: f64,
-    /// Observatory overhead in percent: `(privacy/metrics - 1) * 100`.
-    privacy_overhead_pct: f64,
-}
-
-/// The `BENCH_span.json` payload. `probes_off` is the profiler-off path
-/// — since the driver routes every run through the profiled loop with a
-/// no-op timer, its time *is* the zero-cost-when-off claim; `profiled`
-/// adds the batched [`PhaseProfiler`] on top of the metrics probe.
-#[derive(Debug, Serialize)]
-struct SpanBenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, profiled.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `profiled total / probes_off total`.
-    profiled_over_probes_off: f64,
-    /// `profiled total / metrics total` — the self-profiler increment.
-    profiled_over_metrics: f64,
-    /// Self-profiler overhead in percent: `(profiled/metrics - 1) * 100`.
-    profiled_overhead_pct: f64,
-}
-
-/// The `BENCH_audit.json` payload. `audited` composes the
-/// [`DigestProbe`] over the metrics probe exactly as the runtime
-/// collector does when `--digest-window` is set, so
-/// `audited_overhead_pct` is the cost of always-on determinism
-/// auditing relative to the metrics instrumentation everyone runs.
-#[derive(Debug, Serialize)]
-struct AuditBenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, audited.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `audited total / probes_off total`.
-    audited_over_probes_off: f64,
-    /// `audited total / metrics total` — the digest-probe increment.
-    audited_over_metrics: f64,
-    /// Digest-probe overhead in percent: `(audited/metrics - 1) * 100`.
-    audited_overhead_pct: f64,
-}
+/// Every timed mode, in run and report order: the two baselines, then
+/// the five probes, each composed over the metrics probe. The two gated
+/// probes run right after the `metrics` run they are divided by, so the
+/// flight ring's 12 MB of writes, the observatory and the profiler never
+/// run between a gated probe and its baseline.
+const MODES: [&str; 7] = [
+    "probes_off",
+    "metrics",
+    "audited",
+    "mem",
+    "tracing",
+    "privacy",
+    "profiled",
+];
 
 /// One buffer/victim config's steady-state allocation ledger.
 #[derive(Debug, Serialize)]
@@ -202,12 +112,13 @@ struct MemScalePoint {
     peak_live_bytes: u64,
 }
 
-/// The `BENCH_mem.json` payload. The timing half gates the counting
-/// allocator + scope timer against the metrics probe like every other
-/// observability bench; the ledger half commits allocs-per-delivered
-/// baselines per buffer/victim config and per scale point.
+/// The `BENCH_overhead.json` payload. The timing half times all seven
+/// modes interleaved over one Figure-1 sweep, so the shared `probes_off`
+/// and `metrics` baselines are measured once for every probe; the ledger
+/// half commits allocs-per-delivered baselines per buffer/victim config
+/// and per scale point.
 #[derive(Debug, Serialize)]
-struct MemBenchReport {
+struct OverheadReport {
     /// What was benchmarked.
     bench: String,
     /// Inter-arrival times of the timing sweep points.
@@ -216,16 +127,12 @@ struct MemBenchReport {
     packets_per_source: u32,
     /// Timing repetitions per point (minimum kept).
     repeats: u32,
-    /// Per-mode timings: probes_off, metrics, mem.
+    /// Per-mode timings, in [`MODES`] order.
     modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
+    /// Paired ratio `metrics / probes_off`.
     metrics_over_probes_off: f64,
-    /// `mem total / probes_off total`.
-    mem_over_probes_off: f64,
-    /// `mem total / metrics total` — the allocator-observatory increment.
-    mem_over_metrics: f64,
-    /// Observatory overhead in percent: `(mem/metrics - 1) * 100`.
-    mem_overhead_pct: f64,
+    /// One row per probe (every mode after the two baselines).
+    probes: Vec<OverheadSummary>,
     /// Headline: paper-config (RCAD shortest-remaining) steady-state
     /// allocs per delivered packet.
     allocs_per_delivered: f64,
@@ -233,7 +140,7 @@ struct MemBenchReport {
     peak_live_bytes: u64,
     /// Per-config ledgers across the seven buffer/victim configs.
     configs: Vec<MemConfigLedger>,
-    /// Ledgers at the geometric 100/1k/10k scale points.
+    /// Ledgers at the geometric scale points (default 100/1k/10k).
     scale_points: Vec<MemScalePoint>,
 }
 
@@ -576,15 +483,14 @@ fn mem_scale_ledgers(node_counts: &[usize], budget: u64, seed: u64) -> Vec<MemSc
         .collect()
 }
 
-/// Times the three instrumentation modes over the sweep. Within each
-/// repeat the modes run back-to-back, so ambient machine load skews them
+/// Times all seven [`MODES`] over the sweep, interleaved in one
+/// [`time_interleaved`] loop per point: within each repeat the modes run
+/// back-to-back in [`MODES`] order, so ambient machine load skews them
 /// equally rather than biasing whichever mode happened to run during a
-/// busy stretch; the minimum per mode over `repeats` is kept. The third
-/// mode is the flight-recorder ring (`--bench trace`) or the streaming
-/// privacy observatory (`--bench privacy`), both composed over the
-/// metrics probe exactly as the runtime collector composes them.
-fn time_modes(kind: BenchKind, points: &[f64], packets: u32, repeats: u32) -> [ModeTiming; 3] {
-    let mut secs: [Vec<f64>; 3] = [vec![], vec![], vec![]];
+/// busy stretch. Every probe is composed over the metrics probe exactly
+/// as the runtime collector composes it.
+fn time_modes(points: &[f64], packets: u32, repeats: u32) -> Vec<ModeTiming> {
+    let mut secs: Vec<Vec<Vec<f64>>> = vec![Vec::with_capacity(points.len()); MODES.len()];
     // The ring is allocated once and reset between runs, as a long-lived
     // flight recorder would be: the steady-state cost is the per-event
     // record, not the one-time arena allocation.
@@ -592,36 +498,28 @@ fn time_modes(kind: BenchKind, points: &[f64], packets: u32, repeats: u32) -> [M
     for &inv_lambda in points {
         let sim = figure1_sim(inv_lambda, packets);
         let nodes = sim.routing().len();
-        let mut instrumented = || match kind {
-            BenchKind::Trace => {
-                flight.reset();
-                let mut pair = (RecordingProbe::new(nodes), &mut flight);
-                std::hint::black_box(sim.run_probed(&mut pair));
-                std::hint::black_box(&pair);
-            }
-            BenchKind::Privacy => {
-                let mut pair = (RecordingProbe::new(nodes), privacy_probe_for(&sim, 100));
-                std::hint::black_box(sim.run_probed(&mut pair));
-                std::hint::black_box(&pair);
-            }
-            BenchKind::Span => {
+        // One closure per entry of `MODES`, in the same order.
+        let mut runs: [&mut dyn FnMut(); MODES.len()] = [
+            &mut || {
+                std::hint::black_box(sim.run());
+            },
+            &mut || {
                 let mut probe = RecordingProbe::new(nodes);
-                let mut timer = PhaseProfiler::new();
-                std::hint::black_box(sim.run_profiled(&mut probe, &mut timer));
-                std::hint::black_box(timer.finish());
-            }
-            BenchKind::Audit => {
+                std::hint::black_box(sim.run_probed(&mut probe));
+                std::hint::black_box(&probe);
+            },
+            &mut || {
                 let mut pair = (
                     RecordingProbe::new(nodes),
                     DigestProbe::with_default_window(),
                 );
                 std::hint::black_box(sim.run_probed(&mut pair));
                 std::hint::black_box(pair.1.finish());
-            }
-            BenchKind::Mem => {
-                // The full observatory: counting gate open for the
-                // run, phase-attributed scope timer on the driver's
-                // switch hooks. The gate closes again so the other two
+            },
+            &mut || {
+                // The full memory observatory: counting gate open for
+                // the run, phase-attributed scope timer on the driver's
+                // switch hooks. The gate closes again so the other six
                 // modes time the counting-off path.
                 memprof::set_enabled(true);
                 let mut probe = RecordingProbe::new(nodes);
@@ -629,41 +527,121 @@ fn time_modes(kind: BenchKind, points: &[f64], packets: u32, repeats: u32) -> [M
                 std::hint::black_box(sim.run_profiled(&mut probe, &mut timer));
                 std::hint::black_box(timer.finish());
                 memprof::set_enabled(false);
-            }
-            BenchKind::Scale => unreachable!("scale bench has its own driver"),
-        };
-        let best = best_of_interleaved(
-            repeats,
-            &mut [
-                &mut || {
-                    std::hint::black_box(sim.run());
-                },
-                &mut || {
-                    let mut probe = RecordingProbe::new(nodes);
-                    std::hint::black_box(sim.run_probed(&mut probe));
-                    std::hint::black_box(&probe);
-                },
-                &mut instrumented,
-            ],
-        );
-        for (mode, &s) in secs.iter_mut().zip(&best) {
+            },
+            &mut || {
+                flight.reset();
+                let mut pair = (RecordingProbe::new(nodes), &mut flight);
+                std::hint::black_box(sim.run_probed(&mut pair));
+                std::hint::black_box(&pair);
+            },
+            &mut || {
+                let mut pair = (RecordingProbe::new(nodes), privacy_probe_for(&sim, 100));
+                std::hint::black_box(sim.run_probed(&mut pair));
+                std::hint::black_box(&pair);
+            },
+            &mut || {
+                let mut probe = RecordingProbe::new(nodes);
+                let mut timer = PhaseProfiler::new();
+                std::hint::black_box(sim.run_profiled(&mut probe, &mut timer));
+                std::hint::black_box(timer.finish());
+            },
+        ];
+        let samples = time_interleaved(repeats, &mut runs);
+        for (mode, s) in secs.iter_mut().zip(samples) {
             mode.push(s);
         }
     }
-    let third = match kind {
-        BenchKind::Trace => "tracing",
-        BenchKind::Privacy => "privacy",
-        BenchKind::Span => "profiled",
-        BenchKind::Audit => "audited",
-        BenchKind::Mem => "mem",
-        BenchKind::Scale => unreachable!("scale bench has its own driver"),
-    };
-    let [off, met, tra] = secs;
-    [
-        ModeTiming::new("probes_off", off),
-        ModeTiming::new("metrics", met),
-        ModeTiming::new(third, tra),
-    ]
+    MODES
+        .iter()
+        .zip(secs)
+        .map(|(name, repeat_secs)| ModeTiming::new(name, repeat_secs))
+        .collect()
+}
+
+/// Assembles the overhead report: one [`OverheadSummary`] row per probe
+/// against the two baselines.
+fn overhead_report(
+    args: &Args,
+    modes: Vec<ModeTiming>,
+    configs: Vec<MemConfigLedger>,
+    scale_points: Vec<MemScalePoint>,
+) -> OverheadReport {
+    let (probes_off, metrics) = (&modes[0], &modes[1]);
+    let probes = modes[2..]
+        .iter()
+        .map(|probe| OverheadSummary::from_modes(probes_off, metrics, probe))
+        .collect();
+    let allocs_per_delivered = configs
+        .iter()
+        .find(|c| c.config == "rcad_shortest_remaining")
+        .map_or(0.0, |c| c.allocs_per_delivered);
+    let peak_live_bytes = configs.iter().map(|c| c.peak_live_bytes).max().unwrap_or(0);
+    OverheadReport {
+        bench: "figure1_sweep_probe_overhead".to_string(),
+        points: args.points.clone(),
+        packets_per_source: args.packets,
+        repeats: args.repeats,
+        metrics_over_probes_off: metrics.paired_ratio(probes_off),
+        modes,
+        probes,
+        allocs_per_delivered,
+        peak_live_bytes,
+        configs,
+        scale_points,
+    }
+}
+
+/// Structural checks on an overhead report, run before it is written so
+/// a malformed report fails the run rather than reaching the gate table
+/// (the gate bounds themselves live in `tempriv report --bench`): mode
+/// order, finite positive ratios, a seven-config ledger with nonzero
+/// counts whose headline is the paper config's figure, and a counted
+/// first scale point.
+fn check_overhead(report: &OverheadReport) -> Result<(), String> {
+    let order: Vec<&str> = report.modes.iter().map(|m| m.mode.as_str()).collect();
+    if order != MODES {
+        return Err(format!("mode order {order:?}, expected {MODES:?}"));
+    }
+    let mut ratios = vec![(
+        "metrics_over_probes_off".to_string(),
+        report.metrics_over_probes_off,
+    )];
+    for p in &report.probes {
+        ratios.push((format!("{}_over_probes_off", p.probe), p.over_probes_off));
+        ratios.push((format!("{}_over_metrics", p.probe), p.over_metrics));
+    }
+    if let Some((name, ratio)) = ratios.iter().find(|(_, r)| !(r.is_finite() && *r > 0.0)) {
+        return Err(format!("{name} = {ratio} is not a finite positive ratio"));
+    }
+    if report.configs.len() != mem_configs().len() {
+        return Err(format!(
+            "ledger has {} configs, expected {}",
+            report.configs.len(),
+            mem_configs().len()
+        ));
+    }
+    if let Some(c) = report
+        .configs
+        .iter()
+        .find(|c| c.delivered == 0 || c.allocs == 0 || c.peak_live_bytes == 0)
+    {
+        return Err(format!("ledger config {} counted nothing: {c:?}", c.config));
+    }
+    let paper = report
+        .configs
+        .iter()
+        .find(|c| c.config == "rcad_shortest_remaining")
+        .ok_or("ledger lacks rcad_shortest_remaining")?;
+    if report.allocs_per_delivered.to_bits() != paper.allocs_per_delivered.to_bits() {
+        return Err(format!(
+            "headline allocs_per_delivered {} differs from rcad_shortest_remaining's {}",
+            report.allocs_per_delivered, paper.allocs_per_delivered
+        ));
+    }
+    if report.scale_points.first().is_none_or(|p| p.allocs == 0) {
+        return Err("first scale point counted no allocations".into());
+    }
+    Ok(())
 }
 
 /// Parsed command line.
@@ -673,11 +651,12 @@ struct Args {
     packets: u32,
     repeats: u32,
     out: PathBuf,
-    /// `--bench scale` only: node counts of the geometric fields.
+    /// Node counts of the geometric fields (the scale sweep, or the
+    /// overhead report's ledger scale points).
     nodes: Vec<usize>,
-    /// `--bench scale` only: total packet budget per point.
+    /// Total packet budget per geometric point.
     budget: u64,
-    /// `--bench scale` only: topology/workload seed.
+    /// Geometric topology/workload seed.
     seed: u64,
     /// `--bench scale` only: previous `BENCH_core.json` to compare against.
     baseline: Option<PathBuf>,
@@ -688,8 +667,9 @@ struct Args {
     workers: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut kind = BenchKind::Trace;
+/// Parses the command line (program name already stripped).
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut kind = BenchKind::Overhead;
     let mut points: Vec<f64> = vec![2.0, 8.0, 14.0, 20.0];
     let mut packets: u32 = 1000;
     let mut repeats: u32 = 5;
@@ -700,7 +680,6 @@ fn parse_args() -> Result<Args, String> {
     let mut baseline: Option<PathBuf> = None;
     let mut shards: u32 = 1;
     let mut workers: usize = 1;
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         let value = args
@@ -709,17 +688,9 @@ fn parse_args() -> Result<Args, String> {
         match args[i].as_str() {
             "--bench" => {
                 kind = match value.as_str() {
-                    "trace" => BenchKind::Trace,
-                    "privacy" => BenchKind::Privacy,
-                    "span" => BenchKind::Span,
-                    "audit" => BenchKind::Audit,
-                    "mem" => BenchKind::Mem,
+                    "overhead" => BenchKind::Overhead,
                     "scale" => BenchKind::Scale,
-                    other => {
-                        return Err(format!(
-                            "bad --bench `{other}`; trace, privacy, span, audit, mem, or scale"
-                        ))
-                    }
+                    other => return Err(format!("bad --bench `{other}`; overhead or scale")),
                 };
             }
             "--points" => {
@@ -784,11 +755,7 @@ fn parse_args() -> Result<Args, String> {
     let out = out.unwrap_or_else(|| {
         PathBuf::from(std::env::var("TEMPRIV_RESULTS_DIR").unwrap_or_else(|_| "results".into()))
             .join(match kind {
-                BenchKind::Trace => "BENCH_trace.json",
-                BenchKind::Privacy => "BENCH_privacy.json",
-                BenchKind::Span => "BENCH_span.json",
-                BenchKind::Audit => "BENCH_audit.json",
-                BenchKind::Mem => "BENCH_mem.json",
+                BenchKind::Overhead => "BENCH_overhead.json",
                 BenchKind::Scale => "BENCH_core.json",
             })
     });
@@ -853,177 +820,100 @@ fn run_scale_main(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn run_overhead_main(args: &Args) -> Result<(), String> {
+    // Warm caches so the first timed mode pays no cold-start penalty.
+    std::hint::black_box(figure1_sim(args.points[0], args.packets.min(100)).run());
+    let modes = time_modes(&args.points, args.packets, args.repeats);
+    // Ledger half: counting stays on for the steady-state allocation
+    // baselines (the timing half closed the gate after its mem mode).
+    memprof::set_enabled(true);
+    let configs = mem_config_ledgers(8.0, args.packets);
+    let scale_points = mem_scale_ledgers(&args.nodes, args.budget, args.seed);
+    let report = overhead_report(args, modes, configs, scale_points);
+    check_overhead(&report)?;
+    write_report(&report, &args.out)?;
+    for p in &report.probes {
+        println!(
+            "{:<9} overhead: {:+6.2}% vs metrics, {:+6.2}% vs probes-off",
+            p.probe,
+            p.overhead_pct,
+            (p.over_probes_off - 1.0) * 100.0
+        );
+    }
+    println!(
+        "metrics probe: {:+.2}% vs probes-off [written {}]",
+        (report.metrics_over_probes_off - 1.0) * 100.0,
+        args.out.display()
+    );
+    Ok(())
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(parsed) => parsed,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = parse_args(&argv).and_then(|args| match args.kind {
+        BenchKind::Overhead => run_overhead_main(&args),
+        BenchKind::Scale => run_scale_main(&args),
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("perf_baseline: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    if args.kind == BenchKind::Scale {
-        return match run_scale_main(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("perf_baseline: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
-    let Args {
-        kind,
-        points,
-        packets,
-        repeats,
-        out,
-        nodes,
-        budget,
-        seed,
-        ..
-    } = args;
+}
 
-    // Warm caches so the first timed mode pays no cold-start penalty.
-    std::hint::black_box(figure1_sim(points[0], packets.min(100)).run());
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let [probes_off, metrics, third] = time_modes(kind, &points, packets, repeats);
-
-    let oh = OverheadSummary::from_modes(&probes_off, &metrics, &third);
-    let (json, overhead_pct, over_probes_off) = match kind {
-        BenchKind::Trace => {
-            let report = BenchReport {
-                bench: "figure1_sweep_tracing_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                tracing_over_probes_off: oh.over_probes_off,
-                tracing_over_metrics: oh.over_metrics,
-                tracing_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.tracing_overhead_pct,
-                report.tracing_over_probes_off,
-            )
-        }
-        BenchKind::Privacy => {
-            let report = PrivacyBenchReport {
-                bench: "figure1_sweep_privacy_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                privacy_over_probes_off: oh.over_probes_off,
-                privacy_over_metrics: oh.over_metrics,
-                privacy_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.privacy_overhead_pct,
-                report.privacy_over_probes_off,
-            )
-        }
-        BenchKind::Span => {
-            let report = SpanBenchReport {
-                bench: "figure1_sweep_profiler_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                profiled_over_probes_off: oh.over_probes_off,
-                profiled_over_metrics: oh.over_metrics,
-                profiled_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.profiled_overhead_pct,
-                report.profiled_over_probes_off,
-            )
-        }
-        BenchKind::Audit => {
-            let report = AuditBenchReport {
-                bench: "figure1_sweep_audit_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                audited_over_probes_off: oh.over_probes_off,
-                audited_over_metrics: oh.over_metrics,
-                audited_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.audited_overhead_pct,
-                report.audited_over_probes_off,
-            )
-        }
-        BenchKind::Mem => {
-            // Ledger half: counting stays on for the steady-state
-            // allocation baselines (the timing half already ran with
-            // the gate closed for the uninstrumented modes).
-            memprof::set_enabled(true);
-            let configs = mem_config_ledgers(8.0, packets);
-            let scale_points = mem_scale_ledgers(&nodes, budget, seed);
-            let allocs_per_delivered = configs
-                .iter()
-                .find(|c| c.config == "rcad_shortest_remaining")
-                .map_or(0.0, |c| c.allocs_per_delivered);
-            let peak_live_bytes = configs.iter().map(|c| c.peak_live_bytes).max().unwrap_or(0);
-            let report = MemBenchReport {
-                bench: "figure1_sweep_mem_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                mem_over_probes_off: oh.over_probes_off,
-                mem_over_metrics: oh.over_metrics,
-                mem_overhead_pct: oh.overhead_pct,
-                allocs_per_delivered,
-                peak_live_bytes,
-                configs,
-                scale_points,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.mem_overhead_pct,
-                report.mem_over_probes_off,
-            )
-        }
-        BenchKind::Scale => unreachable!("scale bench has its own driver"),
-    };
-    let json = match json {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("perf_baseline: serialize report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(parent) = out.parent() {
-        let _ = std::fs::create_dir_all(parent);
+    fn parse(tokens: &[&str]) -> Result<Args, String> {
+        parse_args(&tokens.iter().map(|t| (*t).to_string()).collect::<Vec<_>>())
     }
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("perf_baseline: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
+
+    #[test]
+    fn bench_accepts_overhead_and_scale_only() {
+        assert_eq!(parse(&[]).unwrap().kind, BenchKind::Overhead);
+        assert_eq!(parse(&["--bench", "scale"]).unwrap().kind, BenchKind::Scale);
+        let err = parse(&["--bench", "trace"])
+            .err()
+            .expect("legacy mode rejected");
+        assert!(err.contains("trace"), "{err}");
+        assert!(err.contains("overhead") && err.contains("scale"), "{err}");
     }
-    let label = match kind {
-        BenchKind::Trace => "ring-buffer tracing",
-        BenchKind::Privacy => "privacy observatory",
-        BenchKind::Span => "engine self-profiler",
-        BenchKind::Audit => "determinism digest probe",
-        BenchKind::Mem => "counting-allocator observatory",
-        BenchKind::Scale => unreachable!("scale bench has its own driver"),
-    };
-    println!(
-        "{label} overhead: {overhead_pct:+.2}% vs metrics, {:+.2}% vs probes-off \
-         [written {}]",
-        (over_probes_off - 1.0) * 100.0,
-        out.display()
-    );
-    ExitCode::SUCCESS
+
+    #[test]
+    fn check_overhead_rejects_an_uncounted_ledger_config() {
+        let args = parse(&["--out", "unused.json"]).unwrap();
+        let modes = MODES
+            .iter()
+            .map(|m| ModeTiming::new(m, vec![vec![1.0]]))
+            .collect();
+        let configs = mem_configs()
+            .iter()
+            .map(|(label, _)| MemConfigLedger {
+                config: (*label).to_string(),
+                allocs: 5,
+                alloc_bytes: 64,
+                delivered: 10,
+                allocs_per_delivered: 0.5,
+                peak_live_bytes: 4096,
+            })
+            .collect();
+        let scale = vec![MemScalePoint {
+            nodes: 100,
+            allocs: 5,
+            delivered: 10,
+            allocs_per_delivered: 0.5,
+            peak_live_bytes: 4096,
+        }];
+        let ok = overhead_report(&args, modes, configs, scale);
+        check_overhead(&ok).expect("well-formed report passes");
+        assert_eq!(ok.probes.len(), MODES.len() - 2);
+
+        let mut broken = ok;
+        broken.configs[0].allocs = 0;
+        let err = check_overhead(&broken).unwrap_err();
+        assert!(err.contains("unlimited"), "{err}");
+    }
 }

@@ -1,16 +1,19 @@
-//! Interleaved best-of-N timing harness shared by the `perf_baseline`
-//! bench modes.
+//! Interleaved timing harness for `perf_baseline`'s overhead and scale
+//! benches.
 //!
-//! Every overhead bench in this repo times several instrumentation
-//! modes over the same deterministic workload. Two disciplines keep the
-//! numbers honest, and they live here so each bench mode cannot drift
-//! its own copy:
+//! Both benches time several instrumentation modes over the same
+//! deterministic workload. Three disciplines keep the numbers honest,
+//! and they live here so neither bench can drift its own copy:
 //!
 //! * **Interleaving** — within each repeat the modes run back-to-back,
 //!   so ambient machine load skews all of them equally instead of
 //!   biasing whichever mode ran during a busy stretch.
-//! * **Best-of-N** — the minimum over `repeats` is kept per mode, the
-//!   standard guard against scheduler noise.
+//! * **Best-of-N** — a mode's reported time per point is its minimum
+//!   over `repeats`, the standard guard against scheduler noise.
+//! * **Paired ratios** — an overhead ratio is the median, over every
+//!   (point, repeat), of the two modes' times from that same repeat, so
+//!   a busy stretch or one lucky repeat moves a few pairs rather than a
+//!   whole mode's minimum.
 
 use std::time::Instant;
 
@@ -23,20 +26,33 @@ pub fn time_once<F: FnMut()>(mut f: F) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
+/// Times `modes` interleaved over `repeats` rounds and returns every
+/// sample, `secs[mode][repeat]`.
+pub fn time_interleaved(repeats: u32, modes: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
+    let mut secs = vec![Vec::with_capacity(repeats as usize); modes.len()];
+    for _ in 0..repeats {
+        for (secs, mode) in secs.iter_mut().zip(modes.iter_mut()) {
+            secs.push(time_once(&mut **mode));
+        }
+    }
+    secs
+}
+
 /// Times `modes` interleaved over `repeats` rounds and returns the
 /// per-mode minimum seconds, in mode order.
 pub fn best_of_interleaved(repeats: u32, modes: &mut [&mut dyn FnMut()]) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; modes.len()];
-    for _ in 0..repeats {
-        for (best, mode) in best.iter_mut().zip(modes.iter_mut()) {
-            *best = best.min(time_once(&mut **mode));
-        }
-    }
-    best
+    time_interleaved(repeats, modes)
+        .iter()
+        .map(|secs| min_of(secs))
+        .collect()
 }
 
-/// One instrumentation mode's timings across a sweep: the shared shape
-/// every `BENCH_*.json` overhead report serializes.
+fn min_of(secs: &[f64]) -> f64 {
+    secs.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// One instrumentation mode's timings across a sweep, as
+/// `BENCH_overhead.json` serializes them.
 #[derive(Debug, Serialize)]
 pub struct ModeTiming {
     /// Mode name, e.g. `probes_off`, `metrics`, `tracing`.
@@ -45,12 +61,17 @@ pub struct ModeTiming {
     pub point_secs: Vec<f64>,
     /// Sum of the per-point times.
     pub total_secs: f64,
+    /// Every sample, `repeat_secs[point][repeat]` — what
+    /// [`ModeTiming::paired_ratio`] pairs.
+    pub repeat_secs: Vec<Vec<f64>>,
 }
 
 impl ModeTiming {
-    /// Assembles one mode's timing row and logs its total to stderr.
+    /// Assembles one mode's timing row from its samples
+    /// (`repeat_secs[point][repeat]`) and logs its total to stderr.
     #[must_use]
-    pub fn new(name: &str, point_secs: Vec<f64>) -> ModeTiming {
+    pub fn new(name: &str, repeat_secs: Vec<Vec<f64>>) -> ModeTiming {
+        let point_secs: Vec<f64> = repeat_secs.iter().map(|secs| min_of(secs)).collect();
         let total_secs: f64 = point_secs.iter().sum();
         eprintln!(
             "[perf] {name}: {total_secs:.3}s over {} points",
@@ -60,38 +81,59 @@ impl ModeTiming {
             mode: name.to_string(),
             point_secs,
             total_secs,
+            repeat_secs,
+        }
+    }
+
+    /// Median over every (point, repeat) of `self / base` — both modes
+    /// timed in the same interleaved repeat.
+    #[must_use]
+    pub fn paired_ratio(&self, base: &ModeTiming) -> f64 {
+        let mut ratios: Vec<f64> = self
+            .repeat_secs
+            .iter()
+            .flatten()
+            .zip(base.repeat_secs.iter().flatten())
+            .map(|(a, b)| a / b)
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        match ratios.len() {
+            0 => f64::NAN,
+            n if n % 2 == 1 => ratios[n / 2],
+            n => (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0,
         }
     }
 }
 
-/// The three ratios every overhead bench derives from its
-/// `probes_off` / `metrics` / instrumented mode timings.
-#[derive(Debug, Clone, Copy, Serialize)]
+/// One probe's cost relative to the shared `probes_off` and `metrics`
+/// baselines — a `probes` row of `BENCH_overhead.json`.
+#[derive(Debug, Serialize)]
 pub struct OverheadSummary {
-    /// `metrics total / probes_off total`.
-    pub metrics_over_probes_off: f64,
-    /// `instrumented total / probes_off total`.
+    /// Mode name of the probe, e.g. `audited`.
+    pub probe: String,
+    /// Paired ratio `probe / probes_off`.
     pub over_probes_off: f64,
-    /// `instrumented total / metrics total` — the layer's increment.
+    /// Paired ratio `probe / metrics` — the probe's increment.
     pub over_metrics: f64,
-    /// Layer overhead in percent: `(instrumented/metrics - 1) * 100`.
+    /// Probe overhead in percent: `(over_metrics - 1) * 100`, the figure
+    /// `tempriv report --bench` gates.
     pub overhead_pct: f64,
 }
 
 impl OverheadSummary {
-    /// Derives the ratios from the three mode timings.
+    /// Derives the paired ratios from the three mode timings.
     #[must_use]
     pub fn from_modes(
         probes_off: &ModeTiming,
         metrics: &ModeTiming,
         instrumented: &ModeTiming,
     ) -> OverheadSummary {
-        let ratio = |a: &ModeTiming, b: &ModeTiming| a.total_secs / b.total_secs;
+        let over_metrics = instrumented.paired_ratio(metrics);
         OverheadSummary {
-            metrics_over_probes_off: ratio(metrics, probes_off),
-            over_probes_off: ratio(instrumented, probes_off),
-            over_metrics: ratio(instrumented, metrics),
-            overhead_pct: (ratio(instrumented, metrics) - 1.0) * 100.0,
+            probe: instrumented.mode.clone(),
+            over_probes_off: instrumented.paired_ratio(probes_off),
+            over_metrics,
+            overhead_pct: (over_metrics - 1.0) * 100.0,
         }
     }
 }
@@ -123,22 +165,38 @@ mod tests {
 
     #[test]
     fn overhead_summary_ratios_are_consistent() {
-        let t = |name: &str, secs: f64| ModeTiming {
-            mode: name.to_string(),
-            point_secs: vec![secs],
-            total_secs: secs,
-        };
+        let t = |name: &str, secs: f64| ModeTiming::new(name, vec![vec![secs]]);
         let s = OverheadSummary::from_modes(&t("off", 1.0), &t("metrics", 1.25), &t("x", 1.5));
-        assert!((s.metrics_over_probes_off - 1.25).abs() < 1e-12);
+        assert_eq!(s.probe, "x");
         assert!((s.over_probes_off - 1.5).abs() < 1e-12);
         assert!((s.over_metrics - 1.2).abs() < 1e-12);
         assert!((s.overhead_pct - 20.0).abs() < 1e-9);
     }
 
     #[test]
+    fn paired_ratio_is_the_median_of_same_repeat_ratios() {
+        // At the first point the baseline had one lucky repeat (0.40)
+        // while the probe ran slow in it; at the second the probe hit one
+        // busy repeat (0.9). The median of same-repeat ratios ignores
+        // both, where the ratio of best-of-repeats totals reads
+        // 0.936 / 0.8 = 1.17.
+        let base = ModeTiming::new("metrics", vec![vec![0.5, 0.40, 0.5], vec![0.4, 0.4, 0.4]]);
+        let probe = ModeTiming::new(
+            "audited",
+            vec![vec![0.52, 0.52, 0.52], vec![0.416, 0.416, 0.9]],
+        );
+        assert!((probe.paired_ratio(&base) - 1.04).abs() < 1e-12);
+        assert!((probe.total_secs / base.total_secs - 1.17).abs() < 1e-12);
+        let odd = ModeTiming::new("odd", vec![vec![1.0, 3.0, 2.0]]);
+        let one = ModeTiming::new("one", vec![vec![1.0, 1.0, 1.0]]);
+        assert!((odd.paired_ratio(&one) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn mode_timing_totals_its_points() {
-        let m = ModeTiming::new("probes_off", vec![0.25, 0.5]);
+        let m = ModeTiming::new("probes_off", vec![vec![0.3, 0.25], vec![0.5, 0.6]]);
         assert_eq!(m.mode, "probes_off");
+        assert_eq!(m.point_secs, vec![0.25, 0.5]);
         assert!((m.total_secs - 0.75).abs() < 1e-12);
     }
 }

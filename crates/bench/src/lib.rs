@@ -2,8 +2,9 @@
 //!
 //! Shared machinery for the Criterion benches and the `figures` binary:
 //!
-//! * [`harness`] — the interleaved best-of-N timing loop and overhead
-//!   ratios shared by every `perf_baseline` bench mode,
+//! * [`harness`] — the interleaved timing loop, best-of-N times and
+//!   paired overhead ratios behind `perf_baseline`'s overhead and scale
+//!   benches,
 //! * [`table`] — aligned-table printing and CSV export of result series,
 //! * [`validation`] — the analytic-validation experiments (V1–V4 in
 //!   DESIGN.md): bits-through-queues bound vs empirical MI, M/M/∞

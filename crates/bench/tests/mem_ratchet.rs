@@ -37,7 +37,7 @@ static ALLOC: tempriv_telemetry::CountingAlloc = tempriv_telemetry::CountingAllo
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The Figure-1 four-flow layout under one buffering config — the same
-/// workload `perf_baseline --bench mem` ledgers — at a chosen packet
+/// workload `perf_baseline --bench overhead` ledgers — at a chosen packet
 /// budget per source.
 fn figure1_sim(buffer: BufferPolicy, packets_per_source: u32) -> NetworkSimulation {
     let layout = Convergecast::paper_figure1();

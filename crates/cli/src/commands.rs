@@ -75,9 +75,11 @@ COMMANDS:
     report <run.jsonl|dir>   aggregate per-job telemetry from a manifest,
                              or from every *.jsonl manifest in a directory
         [--format F]         text (default), json, or prometheus
-        [--bench DIR]        instead summarize the committed BENCH_*.json
-                             benchmark reports in DIR: headline metric,
-                             overhead figure, CI gate pass/fail
+        [--bench DIR]        instead summarize the BENCH_*.json benchmark
+                             reports in DIR: headline metric, per-probe
+                             overhead, gate PASS/FAIL/MISSING
+        [--trajectory FILE]  with --bench: core events/sec delta against
+                             an earlier BENCH_core.json
     trace [config.json]      flight-record one run (paper default config
                              when omitted) and dump packet lifecycles
         [--seed N] [--packets N]  override the config
@@ -676,10 +678,7 @@ fn manifest_blobs(manifest: &ManifestReader, blob: Blob) -> Vec<Option<String>> 
 /// JSON, or Prometheus exposition format.
 fn cmd_report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     if let Some(dir) = args.option("bench") {
-        let committed = args
-            .option("trajectory")
-            .unwrap_or("results/BENCH_core.json");
-        return report_bench(dir, committed, out);
+        return report_bench(dir, args.option("trajectory"), out);
     }
     let path = args
         .positional(1)
@@ -756,16 +755,48 @@ fn cmd_report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     }
 }
 
-/// `tempriv report --bench <dir>`: one summary table across every
-/// committed `BENCH_*.json` benchmark report — headline metric, the
-/// instrumentation-overhead figure where the bench measures one, and
-/// pass/fail against the CI gate where one is enforced.
-fn report_bench<W: Write>(dir: &str, committed_core: &str, out: &mut W) -> Result<(), String> {
-    use serde::value::Value;
+/// Overhead budgets in percent over the metrics probe, keyed by the probe
+/// rows of `BENCH_overhead.json` — the one place a gate number lives (CI
+/// runs `tempriv report --bench` and checks its verdict). Probes without
+/// a gate report their figure only.
+const GATES: &[(&str, f64)] = &[("audited", 5.0), ("mem", 5.0)];
 
-    // Overhead budgets the CI workflow enforces (percent over the
-    // metrics probe); benches without a gate report their figure only.
-    const GATES: &[(&str, f64)] = &[("audit", 5.0), ("mem", 5.0)];
+/// One rendered row of the `report --bench` table.
+struct BenchRow {
+    name: String,
+    headline: String,
+    /// A probe row of the overhead report (or the `MISSING` stand-in for
+    /// one): the only rows [`GATES`] is looked up for, so a stale report
+    /// file named after a probe cannot stand in for its gate.
+    probe: bool,
+    /// Percent over the metrics probe, for probe rows.
+    overhead_pct: Option<f64>,
+    trajectory: String,
+    /// Extra lines printed under the row (the core shard table).
+    detail: Option<String>,
+}
+
+impl BenchRow {
+    fn new(name: &str, headline: String, overhead_pct: Option<f64>) -> BenchRow {
+        BenchRow {
+            name: name.to_string(),
+            headline,
+            probe: false,
+            overhead_pct,
+            trajectory: "-".to_string(),
+            detail: None,
+        }
+    }
+}
+
+/// `tempriv report --bench <dir>`: one summary table across every
+/// `BENCH_*.json` benchmark report — a headline metric per report, one
+/// row per probe of the overhead report, and pass/fail against [`GATES`].
+/// A gated probe no report measures prints as `MISSING`, which fails the
+/// verdict like a breached gate. With `--trajectory FILE` the core row
+/// shows its events/sec delta against that earlier core report.
+fn report_bench<W: Write>(dir: &str, trajectory: Option<&str>, out: &mut W) -> Result<(), String> {
+    use serde::value::Value;
 
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read directory {dir}: {e}"))?;
@@ -784,13 +815,7 @@ fn report_bench<W: Write>(dir: &str, committed_core: &str, out: &mut W) -> Resul
         return Ok(());
     }
 
-    writeln!(
-        out,
-        "{:<8} {:<44} {:>10} {:>6} {:>6}  {:<24}",
-        "bench", "headline", "overhead", "gate", "status", "trajectory"
-    )
-    .map_err(io_err)?;
-    let mut failures = 0usize;
+    let mut rows = Vec::new();
     for path in &files {
         let name = path
             .file_stem()
@@ -802,58 +827,123 @@ fn report_bench<W: Write>(dir: &str, committed_core: &str, out: &mut W) -> Resul
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let report: Value = serde_json::from_str(&raw)
             .map_err(|e| format!("malformed bench report {}: {e}", path.display()))?;
+        if name == "overhead" {
+            rows.extend(overhead_rows(&report));
+            continue;
+        }
+        let mut row = BenchRow::new(&name, bench_headline(&name, &report), None);
+        if name == "core" {
+            if let Some(baseline) = trajectory {
+                row.trajectory = core_trajectory(&report, baseline);
+            }
+            row.detail = core_shard_table(&report);
+        }
+        rows.push(row);
+    }
+    for (probe, _) in GATES {
+        if !rows.iter().any(|r| r.probe && r.name == *probe) {
+            let headline = "no report measures this probe".to_string();
+            rows.push(BenchRow {
+                probe: true,
+                ..BenchRow::new(probe, headline, None)
+            });
+        }
+    }
 
-        // The overhead-style benches all export one `*_overhead_pct`.
-        let overhead = match &report {
-            Value::Map(entries) => entries
-                .iter()
-                .find(|(k, _)| k.ends_with("_overhead_pct"))
-                .and_then(|(_, v)| v.as_f64()),
-            _ => None,
-        };
-        let headline = bench_headline(&name, &report);
+    writeln!(
+        out,
+        "{:<8} {:<44} {:>10} {:>6} {:>7}  {:<24}",
+        "bench", "headline", "overhead", "gate", "status", "trajectory"
+    )
+    .map_err(io_err)?;
+    let (mut failures, mut missing) = (0usize, 0usize);
+    for row in &rows {
         let gate = GATES
             .iter()
-            .find(|(g, _)| *g == name.as_str())
-            .map(|(_, pct)| *pct);
-        let (gate_col, status) = match (gate, overhead) {
-            (Some(budget), Some(pct)) => {
-                let ok = pct < budget;
-                failures += usize::from(!ok);
-                (format!("<{budget:.0}%"), if ok { "PASS" } else { "FAIL" })
+            .find(|(g, _)| row.probe && *g == row.name)
+            .map(|g| g.1);
+        let status = match (gate, row.overhead_pct) {
+            (Some(budget), Some(pct)) if pct < budget => "PASS",
+            (Some(_), Some(_)) => {
+                failures += 1;
+                "FAIL"
             }
-            _ => ("-".to_string(), "-"),
+            (Some(_), None) => {
+                missing += 1;
+                "MISSING"
+            }
+            (None, _) => "-",
         };
-        let overhead_col = overhead.map_or_else(|| "-".to_string(), |pct| format!("{pct:+.2}%"));
-        let trajectory = if name == "core" {
-            core_trajectory(&report, committed_core)
-        } else {
-            "-".to_string()
-        };
+        let gate_col = gate.map_or_else(|| "-".to_string(), |pct| format!("<{pct:.0}%"));
+        let overhead_col = row
+            .overhead_pct
+            .map_or_else(|| "-".to_string(), |pct| format!("{pct:+.2}%"));
         writeln!(
             out,
-            "{name:<8} {headline:<44} {overhead_col:>10} {gate_col:>6} {status:>6}  {trajectory:<24}"
+            "{:<8} {:<44} {overhead_col:>10} {gate_col:>6} {status:>7}  {:<24}",
+            row.name, row.headline, row.trajectory
         )
         .map_err(io_err)?;
-        if name == "core" {
-            if let Some(table) = core_shard_table(&report) {
-                write!(out, "{table}").map_err(io_err)?;
-            }
+        if let Some(detail) = &row.detail {
+            write!(out, "{detail}").map_err(io_err)?;
         }
     }
     if failures > 0 {
         writeln!(out, "{failures} gate(s) FAILED").map_err(io_err)?;
-    } else {
+    }
+    if missing > 0 {
+        writeln!(out, "{missing} gated probe(s) MISSING").map_err(io_err)?;
+    }
+    if failures == 0 && missing == 0 {
         writeln!(out, "all gates pass").map_err(io_err)?;
     }
     Ok(())
 }
 
-/// Events/sec trajectory of a fresh core scale report against the
-/// committed `BENCH_core.json`: one signed percentage per shared node
-/// count (`probes_off` mode, ordered by node count), so speedups and
-/// regressions vs the last committed baseline are visible in the same
-/// table that renders the report itself.
+/// The rows of a `BENCH_overhead.json` report: the metrics baseline,
+/// one row per probe, and the allocation-ledger headline.
+fn overhead_rows(report: &serde::value::Value) -> Vec<BenchRow> {
+    use serde::value::Value;
+    let f = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
+    let mut rows = Vec::new();
+    if let Some(x) = f(report, "metrics_over_probes_off") {
+        rows.push(BenchRow::new(
+            "metrics",
+            format!("x{x:.3} vs probes_off (baseline)"),
+            None,
+        ));
+    }
+    if let Some(Value::Seq(probes)) = report.get("probes") {
+        for probe in probes {
+            let Some(Value::Str(name)) = probe.get("probe") else {
+                continue;
+            };
+            let headline = f(probe, "over_probes_off")
+                .map_or_else(|| "-".to_string(), |x| format!("x{x:.3} vs probes_off"));
+            rows.push(BenchRow {
+                probe: true,
+                ..BenchRow::new(name, headline, f(probe, "overhead_pct"))
+            });
+        }
+    }
+    if let (Some(app), Some(peak)) = (
+        f(report, "allocs_per_delivered"),
+        f(report, "peak_live_bytes"),
+    ) {
+        rows.push(BenchRow::new(
+            "ledger",
+            format!("{app:.2} allocs/packet, peak live {:.1} MB", peak / 1e6),
+            None,
+        ));
+    }
+    rows
+}
+
+/// Events/sec trajectory of a core scale report against an earlier one
+/// (`--trajectory FILE`): one signed percentage per shared node count
+/// (`probes_off` mode, ordered by node count), so speedups and
+/// regressions vs that baseline are visible in the same table that
+/// renders the report itself.
 fn core_trajectory(report: &serde::value::Value, committed_path: &str) -> String {
     use serde::value::Value;
     let Ok(raw) = std::fs::read_to_string(committed_path) else {
@@ -900,7 +990,7 @@ fn core_trajectory(report: &serde::value::Value, committed_path: &str) -> String
     if deltas.is_empty() {
         return "no shared points".to_string();
     }
-    deltas.push("ev/s vs committed".to_string());
+    deltas.push("ev/s vs baseline".to_string());
     deltas.join(" ")
 }
 
@@ -980,25 +1070,7 @@ fn bench_headline(name: &str, report: &serde::value::Value) -> String {
                 "-".to_string()
             }
         }
-        "mem" => match (f("allocs_per_delivered"), f("peak_live_bytes")) {
-            (Some(app), Some(peak)) => {
-                format!("{app:.1} allocs/packet, peak live {peak:.0} B")
-            }
-            _ => "-".to_string(),
-        },
-        _ => match &report {
-            // figure-1 overhead benches: slowdown of the instrumented
-            // mode over the metrics probe.
-            Value::Map(entries) => entries
-                .iter()
-                .find(|(k, _)| k.ends_with("_over_metrics"))
-                .and_then(|(k, v)| {
-                    v.as_f64()
-                        .map(|x| format!("{} x{x:.3}", k.trim_end_matches("_over_metrics")))
-                })
-                .unwrap_or_else(|| "-".to_string()),
-            _ => "-".to_string(),
-        },
+        _ => "-".to_string(),
     }
 }
 
@@ -1877,6 +1949,144 @@ mod tests {
 
         let err = run(&["report", man_str, "--format", "yaml"]).unwrap_err();
         assert!(err.contains("unknown --format"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh temp dir holding the given `(file name, JSON)` reports.
+    fn bench_dir(name: &str, files: &[(&str, String)]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (file, json) in files {
+            std::fs::write(dir.join(file), json).unwrap();
+        }
+        dir
+    }
+
+    /// A minimal `BENCH_overhead.json` with the given per-probe overheads.
+    fn overhead_report_json(pcts: &[(&str, f64)]) -> String {
+        let probes: Vec<String> = pcts
+            .iter()
+            .map(|(probe, pct)| {
+                let over_metrics = 1.0 + pct / 100.0;
+                format!(
+                    r#"{{"probe":"{probe}","over_probes_off":{},"over_metrics":{over_metrics},"overhead_pct":{pct}}}"#,
+                    1.1 * over_metrics
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"metrics_over_probes_off":1.1,"probes":[{}],"allocs_per_delivered":0.09,"peak_live_bytes":5500000}}"#,
+            probes.join(",")
+        )
+    }
+
+    /// A minimal one-point `BENCH_core.json`.
+    fn core_report_json(events_per_sec: f64) -> String {
+        format!(
+            r#"{{"points":[{{"nodes":100,"modes":[{{"mode":"probes_off","secs":1.0,"events_per_sec":{events_per_sec}}}]}}]}}"#
+        )
+    }
+
+    #[test]
+    fn report_bench_passes_when_every_gated_probe_is_under_budget() {
+        let dir = bench_dir(
+            "tempriv_cli_bench_pass",
+            &[(
+                "BENCH_overhead.json",
+                overhead_report_json(&[("tracing", 12.6), ("audited", 2.9), ("mem", 4.9)]),
+            )],
+        );
+        let text = run(&["report", "--bench", dir.to_str().unwrap()]).unwrap();
+        assert!(text.contains("all gates pass"), "{text}");
+        assert_eq!(text.matches("PASS").count(), 2, "{text}");
+        assert!(
+            text.contains("+12.60%"),
+            "ungated probes still report: {text}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_bench_fails_a_breached_gate() {
+        let dir = bench_dir(
+            "tempriv_cli_bench_fail",
+            &[(
+                "BENCH_overhead.json",
+                overhead_report_json(&[("audited", 5.2), ("mem", 1.0)]),
+            )],
+        );
+        let text = run(&["report", "--bench", dir.to_str().unwrap()]).unwrap();
+        assert!(text.contains("1 gate(s) FAILED"), "{text}");
+        assert!(!text.contains("all gates pass"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_bench_flags_gated_probes_no_report_measures() {
+        let dir = bench_dir(
+            "tempriv_cli_bench_missing",
+            &[("BENCH_core.json", core_report_json(1000.0))],
+        );
+        let text = run(&["report", "--bench", dir.to_str().unwrap()]).unwrap();
+        assert!(!text.contains("all gates pass"), "{text}");
+        assert_eq!(
+            text.matches("MISSING").count(),
+            3,
+            "two rows + verdict: {text}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_bench_gates_only_overhead_probe_rows() {
+        // A stale per-probe file from before the overhead report sorts
+        // ahead of it and names a gated probe; it must neither fail nor
+        // stand in for that probe's gate.
+        let dir = bench_dir(
+            "tempriv_cli_bench_stale",
+            &[
+                ("BENCH_mem.json", r#"{"mem_overhead_pct":9.9}"#.to_string()),
+                (
+                    "BENCH_overhead.json",
+                    overhead_report_json(&[("audited", 2.9), ("mem", 4.9)]),
+                ),
+            ],
+        );
+        let text = run(&["report", "--bench", dir.to_str().unwrap()]).unwrap();
+        assert!(text.contains("all gates pass"), "{text}");
+        assert!(!text.contains("MISSING"), "{text}");
+        assert_eq!(text.matches("PASS").count(), 2, "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_bench_trajectory_diffs_only_an_explicit_baseline() {
+        let dir = bench_dir(
+            "tempriv_cli_bench_trajectory",
+            &[("BENCH_core.json", core_report_json(2000.0))],
+        );
+        let baseline = dir.join("older-core.json");
+        std::fs::write(&baseline, core_report_json(1000.0)).unwrap();
+        let core_row = |text: &str| {
+            text.lines()
+                .find(|l| l.starts_with("core "))
+                .expect("core row")
+                .trim_end()
+                .to_string()
+        };
+        let with = run(&[
+            "report",
+            "--bench",
+            dir.to_str().unwrap(),
+            "--trajectory",
+            baseline.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert!(core_row(&with).contains("100n+100%"), "{with}");
+        let without = run(&["report", "--bench", dir.to_str().unwrap()]).unwrap();
+        assert!(core_row(&without).ends_with(" -"), "{without}");
+        assert!(!without.contains("100n"), "{without}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
