@@ -8,7 +8,7 @@
 //! --bench scale` covers whole-simulation throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
+use tempriv_core::buffer::VictimPolicy;
 use tempriv_core::store::{PacketStore, StoreBuffer};
 use tempriv_net::ids::{FlowId, NodeId, PacketId};
 use tempriv_sim::queue::EventQueue;
@@ -89,19 +89,57 @@ fn bench_event_queue(c: &mut Criterion) {
         });
     });
 
+    // Classic hold model at the engine's steady-state FES size: 8,000
+    // pending events; each step pops the earliest and schedules one
+    // successor at now + 1 (a link hop) or now + Exp(30) (an RCAD delay),
+    // and one step in 20 also cancels a pending event (a preemption).
+    group.bench_function("hold_8k", |b| {
+        const PENDING: usize = 8_000;
+        const STEPS: usize = 10_000;
+        let mut rng = RngFactory::new(14).stream(0);
+        let delays: Vec<SimDuration> = (0..STEPS)
+            .map(|i| {
+                if i % 2 == 0 {
+                    SimDuration::from_units(1.0)
+                } else {
+                    SimDuration::from_units(rng.sample_exp(30.0))
+                }
+            })
+            .collect();
+        let mut q = EventQueue::new();
+        let mut ids = Vec::with_capacity(PENDING);
+        for i in 0..PENDING {
+            ids.push(q.push(SimTime::from_units(rng.sample_exp(30.0)), i));
+        }
+        b.iter(|| {
+            let mut sum = 0usize;
+            for (step, &d) in delays.iter().enumerate() {
+                let (now, v) = q.pop().expect("the hold model never drains");
+                sum += v;
+                let id = q.push(now + d, v);
+                ids[v] = id;
+                if step % 20 == 19 {
+                    // Cancel a pending event and replace it, keeping the
+                    // pending count at 8,000.
+                    let victim = (v + step) % PENDING;
+                    if q.cancel(ids[victim]) {
+                        ids[victim] = q.push(now + delays[step ^ 1], victim);
+                    }
+                }
+            }
+            sum
+        });
+    });
+
     group.finish();
 }
 
 /// Builds a buffer holding `k` packets with distinct pseudo-random
-/// release and arrival times, indexed for the given policy, over the
-/// packet store that owns their slots.
-fn filled_buffer(k: usize, victim: VictimPolicy) -> (PacketStore, StoreBuffer) {
-    let policy = BufferPolicy::Rcad {
-        capacity: k,
-        victim,
-    };
+/// release and arrival times over the packet store that owns their
+/// slots.
+fn filled_buffer(k: usize) -> (PacketStore, StoreBuffer) {
     let mut store = PacketStore::with_capacity(k);
-    let mut buf = StoreBuffer::for_policy(&policy);
+    let mut buf = StoreBuffer::new();
     let mut rng = RngFactory::new(21).stream(0);
     for i in 0..k {
         let buffered_at = SimTime::from_units(rng.sample_exp(5.0));
@@ -126,21 +164,21 @@ fn bench_victim_selection(c: &mut Criterion) {
         for &victim in &policies {
             // Steady-state preemption churn: pick a victim, evict it,
             // admit a replacement. This is what RCAD does on every
-            // arrival at a full buffer, and it exercises both the
-            // select path and index maintenance. (The per-iteration
+            // arrival at a full buffer: the select scan plus the
+            // id-sorted insert and remove. (The per-iteration
             // buffer clone is the same cost for every policy, so the
             // relative numbers stay comparable.)
             let name = format!("{}_k{}", victim.name(), k);
             group.bench_function(&name, |b| {
-                let template = filled_buffer(k, victim);
+                let template = filled_buffer(k);
                 let mut rng = RngFactory::new(22).stream(0);
                 b.iter(|| {
                     let (mut store, mut buf) = template.clone();
                     for next_id in k as u64..k as u64 + 64 {
                         let pid = buf
-                            .select_victim(victim, &mut rng)
+                            .select_victim(&store, victim, &mut rng)
                             .expect("buffer is non-empty");
-                        let slot = buf.remove(&store, pid).expect("victim is buffered");
+                        let slot = buf.remove(pid).expect("victim is buffered");
                         let buffered_at = store.buffered_at(slot);
                         let release_at = store.release_at(slot) + SimDuration::from_units(1.0);
                         store.release(slot);

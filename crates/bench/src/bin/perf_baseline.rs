@@ -34,7 +34,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use serde::{Deserialize, Serialize};
-use tempriv_bench::harness::{best_of_interleaved, time_interleaved, ModeTiming, OverheadSummary};
+use tempriv_bench::harness::{min_of, time_interleaved, ModeTiming, OverheadSummary};
 use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
 use tempriv_core::delay::DelayPlan;
 use tempriv_core::sim_driver::NetworkSimulation;
@@ -147,12 +147,16 @@ struct OverheadReport {
 /// One instrumentation mode's timing at one scale point.
 #[derive(Debug, Serialize, Deserialize)]
 struct ScaleModeTiming {
-    /// Mode name: `probes_off` or `metrics`.
+    /// Mode name: `probes_off`, `metrics` or `sharded`.
     mode: String,
     /// Best-of-repeats wall seconds for one full run.
     secs: f64,
     /// Engine events delivered per wall second (`events / secs`).
     events_per_sec: f64,
+    /// Every repeat's wall seconds, in run order (the spread behind
+    /// `secs`). Empty in reports recorded before it was kept.
+    #[serde(default)]
+    repeat_secs: Vec<f64>,
 }
 
 /// One scale point: a sampled geometric field of `nodes` nodes.
@@ -196,6 +200,10 @@ struct ScaleReport {
     budget: u64,
     /// Timing repetitions per point (minimum kept).
     repeats: u32,
+    /// Logical CPUs of the machine that ran it (`available_parallelism`;
+    /// 0 in reports recorded before it was kept).
+    #[serde(default)]
+    nproc: usize,
     /// One entry per `--nodes` value.
     points: Vec<ScalePoint>,
     /// `probes_off` speedup vs `--baseline` on the largest point.
@@ -307,14 +315,17 @@ fn run_scale(
             modes_run.push(&mut sharded_mode);
             mode_names.push("sharded");
         }
-        let best = best_of_interleaved(repeats, &mut modes_run);
         let modes: Vec<ScaleModeTiming> = mode_names
             .iter()
-            .zip(best)
-            .map(|(name, secs)| ScaleModeTiming {
-                mode: (*name).to_string(),
-                secs,
-                events_per_sec: events as f64 / secs,
+            .zip(time_interleaved(repeats, &mut modes_run))
+            .map(|(name, repeat_secs)| {
+                let secs = min_of(&repeat_secs);
+                ScaleModeTiming {
+                    mode: (*name).to_string(),
+                    secs,
+                    events_per_sec: events as f64 / secs,
+                    repeat_secs,
+                }
             })
             .collect();
         let baseline_events_per_sec = baseline.and_then(|b| {
@@ -352,6 +363,7 @@ fn run_scale(
         seed,
         budget,
         repeats,
+        nproc: std::thread::available_parallelism().map_or(1, usize::from),
         points,
         headline_speedup,
     }

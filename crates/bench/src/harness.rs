@@ -38,16 +38,9 @@ pub fn time_interleaved(repeats: u32, modes: &mut [&mut dyn FnMut()]) -> Vec<Vec
     secs
 }
 
-/// Times `modes` interleaved over `repeats` rounds and returns the
-/// per-mode minimum seconds, in mode order.
-pub fn best_of_interleaved(repeats: u32, modes: &mut [&mut dyn FnMut()]) -> Vec<f64> {
-    time_interleaved(repeats, modes)
-        .iter()
-        .map(|secs| min_of(secs))
-        .collect()
-}
-
-fn min_of(secs: &[f64]) -> f64 {
+/// The best (minimum) of a mode's samples.
+#[must_use]
+pub fn min_of(secs: &[f64]) -> f64 {
     secs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
@@ -143,10 +136,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn best_of_interleaved_keeps_one_minimum_per_mode() {
+    fn time_interleaved_samples_every_mode_each_repeat() {
         let mut slow_calls = 0u32;
         let mut fast_calls = 0u32;
-        let best = best_of_interleaved(
+        let secs = time_interleaved(
             3,
             &mut [
                 &mut || {
@@ -158,7 +151,9 @@ mod tests {
         );
         assert_eq!(slow_calls, 3);
         assert_eq!(fast_calls, 3);
-        assert_eq!(best.len(), 2);
+        assert_eq!(secs.len(), 2);
+        assert!(secs.iter().all(|mode| mode.len() == 3));
+        let best: Vec<f64> = secs.iter().map(|mode| min_of(mode)).collect();
         assert!(best[0] >= 0.002, "slow mode at least its sleep: {best:?}");
         assert!(best[1] < best[0], "fast mode beats slow mode: {best:?}");
     }

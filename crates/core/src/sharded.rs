@@ -44,8 +44,8 @@ use tempriv_sim::rng::RngFactory;
 use tempriv_sim::time::{SimDuration, SimTime};
 use tempriv_telemetry::NullProbe;
 
-use crate::metrics::{FlowOutcome, NodeReport, ShardStats, SimOutcome, TruthRecord};
-use crate::sim_driver::{streams, Driver, Ev, NetworkSimulation, Workload};
+use crate::metrics::{FlowOutcome, ShardStats, SimOutcome, TruthRecord};
+use crate::sim_driver::{streams, Driver, Ev, NetworkSimulation, NodeOrder, Workload};
 
 /// A partition of the routing tree's nodes into shards, built by one of
 /// two strategies with different contracts:
@@ -493,6 +493,12 @@ pub(crate) fn run_sharded<T: PhaseTimer>(
     };
     let n_shards = shards as usize;
     let (truth, mut cursors, presample_draws) = presample(sim);
+    // Every shard's driver shares one internal node numbering; the
+    // drivers test the shard of a next hop by internal id.
+    let order = NodeOrder::dfs(&sim.routing);
+    let shard_of: Vec<u32> = (0..sim.routing.len() as u32)
+        .map(|i| plan.shard_of()[order.external(i).index()])
+        .collect();
 
     let factory = RngFactory::new(sim.seed);
     let n_flows = sim.sources.len();
@@ -514,9 +520,9 @@ pub(crate) fn run_sharded<T: PhaseTimer>(
         .zip(shard_cursors)
         .enumerate()
         .map(|(idx, ((probe, noop), preassigned))| {
-            let mut driver = Driver::new(sim, probe, noop);
+            let mut driver = Driver::new(sim, &order, probe, noop);
             driver.my_shard = idx as u32;
-            driver.shard_of = Some(plan.shard_of());
+            driver.shard_of = Some(&shard_of);
             driver.victim_rng = factory.substream(streams::VICTIM, idx as u64);
             driver.link_rng = factory.substream(streams::LINK, idx as u64);
             driver.reading_rng = factory.substream(streams::READING, idx as u64);
@@ -761,20 +767,9 @@ fn assemble(
         .collect();
     let nodes = (0..n_nodes)
         .map(|i| {
-            let owner = &states[shard_of[i] as usize].driver;
-            let occupancy_pmf = owner.occupancy[i].pmf(end_time);
-            NodeReport {
-                node: NodeId(i as u32),
-                mean_occupancy: owner.occupancy[i].mean(end_time),
-                peak_occupancy: occupancy_pmf.iter().map(|&(k, _)| k).max().unwrap_or(0),
-                occupancy_pmf,
-                preemptions: owner.preemptions[i],
-                drops: owner.drops[i],
-                flushes: owner.flushes[i],
-                stranded: owner.buffers[i].len() as u64,
-                transmissions: owner.tx_count[i],
-                receptions: owner.rx_count[i],
-            }
+            states[shard_of[i] as usize]
+                .driver
+                .node_report(NodeId(i as u32), end_time)
         })
         .collect();
     let observations = crate::sim_driver::canonicalize(std::mem::take(

@@ -17,9 +17,9 @@ use tempriv_net::traffic::{TrafficModel, TrafficSampler};
 use tempriv_sim::engine::{Engine, Scheduler};
 use tempriv_sim::profile::{NoopPhaseTimer, Phase, PhaseTimer};
 use tempriv_sim::rng::{RngFactory, SimRng};
-use tempriv_sim::stats::{Histogram, OnlineStats, StateDwell};
+use tempriv_sim::stats::{pmf_mean, Histogram, OnlineStats, StateDwell};
 use tempriv_sim::time::SimTime;
-use tempriv_telemetry::{NullProbe, PacketEvent, SimProbe};
+use tempriv_telemetry::{NullProbe, PacketEvent, PacketEventKind, SimProbe};
 
 use crate::adversary::{AdversaryKnowledge, Observation};
 use crate::buffer::BufferPolicy;
@@ -295,6 +295,8 @@ impl core::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// Engine events. `node` is an internal index ([`NodeOrder`]), never an
+/// external [`NodeId`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// A source creates its next packet.
@@ -302,9 +304,88 @@ pub(crate) enum Ev {
     /// A packet finishes crossing a link into `node`. The payload is a
     /// [`PacketStore`] slot — 4 bytes through the queue instead of a
     /// by-value packet.
-    Arrive { node: NodeId, slot: u32 },
+    Arrive { node: u32, slot: u32 },
     /// A buffered packet's delay timer fires at `node`.
-    Release { node: NodeId, slot: u32 },
+    Release { node: u32, slot: u32 },
+}
+
+/// The driver's internal node numbering: the DFS preorder of the routing
+/// tree from the sink, children visited in ascending [`NodeId`] order.
+///
+/// Every per-node `Vec` of a [`Driver`] is indexed by this internal id.
+/// A packet's route then walks a node's ancestors, which preorder keeps
+/// near each other in memory, instead of jumping across a field numbered
+/// in random spatial order (the geometric sampler's). External ids stay
+/// wherever they can be observed: packet origins, probe arguments, the
+/// `DELAY` substream index, `NodeReport`s, shard plans, and handoffs.
+#[derive(Debug)]
+pub(crate) struct NodeOrder {
+    /// Internal id → external id.
+    ext: Vec<NodeId>,
+    /// External id → internal id.
+    int: Vec<u32>,
+    /// Internal id → the internal id of its next hop (the sink maps to
+    /// itself).
+    next: Vec<u32>,
+}
+
+impl NodeOrder {
+    /// Numbers `routing`'s nodes in DFS preorder from the sink, walking a
+    /// CSR child list (one offsets array, one flat children array).
+    pub(crate) fn dfs(routing: &RoutingTree) -> NodeOrder {
+        let n = routing.len();
+        let parent = |e: usize| routing.next_hop(NodeId(e as u32)).map(NodeId::index);
+        // Children of `p` are `children[offsets[p]..offsets[p + 1]]`,
+        // in ascending id order.
+        let mut offsets = vec![0u32; n + 1];
+        for e in 0..n {
+            if let Some(p) = parent(e) {
+                offsets[p + 1] += 1;
+            }
+        }
+        for p in 0..n {
+            offsets[p + 1] += offsets[p];
+        }
+        // `int` doubles as the fill cursor until the preorder is known.
+        let mut int: Vec<u32> = offsets[..n].to_vec();
+        let mut children = vec![0u32; offsets[n] as usize];
+        for e in 0..n {
+            if let Some(p) = parent(e) {
+                children[int[p] as usize] = e as u32;
+                int[p] += 1;
+            }
+        }
+        let mut ext: Vec<NodeId> = Vec::with_capacity(n);
+        let mut stack = vec![routing.sink().0];
+        while let Some(u) = stack.pop() {
+            ext.push(NodeId(u));
+            let u = u as usize;
+            let kids = &children[offsets[u] as usize..offsets[u + 1] as usize];
+            stack.extend(kids.iter().rev());
+        }
+        debug_assert_eq!(ext.len(), n, "every node reaches the sink");
+        for (i, e) in ext.iter().enumerate() {
+            int[e.index()] = i as u32;
+        }
+        let next = ext
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| routing.next_hop(e).map_or(i as u32, |p| int[p.index()]))
+            .collect();
+        NodeOrder { ext, int, next }
+    }
+
+    /// The internal id of external node `node`.
+    #[inline]
+    pub(crate) fn internal(&self, node: NodeId) -> u32 {
+        self.int[node.index()]
+    }
+
+    /// The external id of internal node `i`.
+    #[inline]
+    pub(crate) fn external(&self, i: u32) -> NodeId {
+        self.ext[i as usize]
+    }
 }
 
 impl NetworkSimulation {
@@ -541,7 +622,8 @@ impl NetworkSimulation {
         // Reads zero unless a counting allocator is installed + enabled.
         let mem_base = tempriv_telemetry::memprof::thread_snapshot();
 
-        let mut driver = Driver::new(self, probe, timer);
+        let order = NodeOrder::dfs(&self.routing);
+        let mut driver = Driver::new(self, &order, probe, timer);
         driver
             .truth
             .reserve(n_flows * self.packets_per_source as usize);
@@ -576,8 +658,9 @@ impl NetworkSimulation {
         let queue_footprint = engine.queue_footprint() as u64;
         let queue_compactions = engine.queue_compactions();
 
-        for (i, buffer) in driver.buffers.iter().enumerate() {
-            driver.probe.on_high_water(i, buffer.high_water() as u64);
+        for (e, &i) in order.int.iter().enumerate() {
+            let high_water = driver.buffers[i as usize].high_water() as u64;
+            driver.probe.on_high_water(e, high_water);
         }
         driver.probe.on_engine_stats(events, peak_fes);
         driver
@@ -588,6 +671,10 @@ impl NetworkSimulation {
         let rng_draws = driver.rng_draws();
 
         let mem = tempriv_telemetry::memprof::thread_snapshot().since(mem_base);
+
+        let nodes = (0..n_nodes)
+            .map(|e| driver.node_report(NodeId(e as u32), end_time))
+            .collect();
 
         SimOutcome {
             end_time,
@@ -604,23 +691,7 @@ impl NetworkSimulation {
                 .collect(),
             observations: canonicalize(driver.observations),
             truth: driver.truth,
-            nodes: (0..n_nodes)
-                .map(|i| {
-                    let occupancy_pmf = driver.occupancy[i].pmf(end_time);
-                    NodeReport {
-                        node: NodeId(i as u32),
-                        mean_occupancy: driver.occupancy[i].mean(end_time),
-                        peak_occupancy: occupancy_pmf.iter().map(|&(k, _)| k).max().unwrap_or(0),
-                        occupancy_pmf,
-                        preemptions: driver.preemptions[i],
-                        drops: driver.drops[i],
-                        flushes: driver.flushes[i],
-                        stranded: driver.buffers[i].len() as u64,
-                        transmissions: driver.tx_count[i],
-                        receptions: driver.rx_count[i],
-                    }
-                })
-                .collect(),
+            nodes,
             link_losses: driver.link_losses,
             rng_draws,
             events,
@@ -643,12 +714,15 @@ pub(crate) fn canonicalize(mut observations: Vec<Observation>) -> Vec<Observatio
     observations
 }
 
+/// Per-run simulation state. Every per-node `Vec` is indexed by the
+/// internal id of [`NodeOrder`].
 pub(crate) struct Driver<'a, P: SimProbe, T: PhaseTimer> {
     pub(crate) sim: &'a NetworkSimulation,
+    pub(crate) order: &'a NodeOrder,
     pub(crate) probe: &'a mut P,
     pub(crate) timer: &'a mut T,
     /// Cached per-run invariants, hoisted out of the per-event path.
-    pub(crate) sink: NodeId,
+    pub(crate) sink: u32,
     pub(crate) capacity: Option<usize>,
     pub(crate) strategies: Vec<DelayStrategy>,
     /// Reused flush buffer so threshold-mix batches allocate once per run.
@@ -681,8 +755,8 @@ pub(crate) struct Driver<'a, P: SimProbe, T: PhaseTimer> {
     /// runs — `on_create` then assigns ids in event order and samples the
     /// traffic model lazily, exactly as before the sharded runner existed.
     pub(crate) preassigned: Vec<crate::sharded::FlowCursor>,
-    /// Sharded mode only: the shard each node belongs to. `None` keeps
-    /// every forward local (serial).
+    /// Sharded mode only: the shard each node belongs to, by internal
+    /// id. `None` keeps every forward local (serial).
     pub(crate) shard_of: Option<&'a [u32]>,
     pub(crate) my_shard: u32,
     /// Cross-shard arrivals emitted this window, in emission order.
@@ -695,24 +769,30 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
     /// Serial driver state for one simulation run. The sharded runner
     /// builds one per shard and then re-points the shard-indexed RNG
     /// streams and creation cursors before seeding its engine.
-    pub(crate) fn new(sim: &'a NetworkSimulation, probe: &'a mut P, timer: &'a mut T) -> Self {
+    pub(crate) fn new(
+        sim: &'a NetworkSimulation,
+        order: &'a NodeOrder,
+        probe: &'a mut P,
+        timer: &'a mut T,
+    ) -> Self {
         let n_nodes = sim.routing.len();
         let n_flows = sim.sources.len();
         let factory = RngFactory::new(sim.seed);
         Driver {
             sim,
+            order,
             probe,
             timer,
-            sink: sim.routing.sink(),
+            sink: order.internal(sim.routing.sink()),
             capacity: sim.buffer_policy.capacity(),
-            strategies: (0..n_nodes)
-                .map(|i| sim.delay_plan.for_node(NodeId(i as u32)))
+            strategies: order
+                .ext
+                .iter()
+                .map(|&e| sim.delay_plan.for_node(e))
                 .collect(),
             mix_scratch: Vec::new(),
             store: PacketStore::new(),
-            buffers: (0..n_nodes)
-                .map(|_| StoreBuffer::for_policy(&sim.buffer_policy))
-                .collect(),
+            buffers: vec![StoreBuffer::new(); n_nodes],
             occupancy: (0..n_nodes)
                 .map(|_| StateDwell::new(SimTime::ZERO, 0))
                 .collect(),
@@ -731,8 +811,10 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 .map(|_| Histogram::new(sim.latency_range.0, sim.latency_range.1, 400))
                 .collect(),
             delivered: vec![0; n_flows],
-            delay_rngs: (0..n_nodes)
-                .map(|i| factory.substream(streams::DELAY, i as u64))
+            delay_rngs: order
+                .ext
+                .iter()
+                .map(|e| factory.substream(streams::DELAY, u64::from(e.0)))
                 .collect(),
             traffic_rngs: (0..n_flows)
                 .map(|i| factory.substream(streams::TRAFFIC, i as u64))
@@ -769,10 +851,30 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         // unobservable downstream, so handoffs do not ship it.
         let slot = self.store.alloc(h.pid, h.flow, h.origin, h.created_at, 0.0);
         self.store.set_hop_count(slot, h.hop_count);
-        self.rx_count[h.node.index()] += 1;
+        let node = self.order.internal(h.node);
+        self.rx_count[node as usize] += 1;
         engine
-            .schedule_at(h.at, Ev::Arrive { node: h.node, slot })
+            .schedule_at(h.at, Ev::Arrive { node, slot })
             .expect("handoffs arrive at or after the window barrier");
+    }
+
+    /// The run-end report for external node `node`, its occupancy PMF
+    /// built once for both the PMF and the mean.
+    pub(crate) fn node_report(&self, node: NodeId, end_time: SimTime) -> NodeReport {
+        let i = self.order.internal(node) as usize;
+        let occupancy_pmf = self.occupancy[i].pmf(end_time);
+        NodeReport {
+            node,
+            mean_occupancy: pmf_mean(&occupancy_pmf),
+            peak_occupancy: occupancy_pmf.iter().map(|&(k, _)| k).max().unwrap_or(0),
+            occupancy_pmf,
+            preemptions: self.preemptions[i],
+            drops: self.drops[i],
+            flushes: self.flushes[i],
+            stranded: self.buffers[i].len() as u64,
+            transmissions: self.tx_count[i],
+            receptions: self.rx_count[i],
+        }
     }
 
     #[inline]
@@ -835,11 +937,7 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         let prev = self.timer.switch(Phase::Probe);
         self.probe.on_packet(
             sched.now(),
-            PacketEvent::Created {
-                packet: id.0,
-                flow: i,
-                node: source.index(),
-            },
+            self.packet_event(PacketEventKind::Created, slot, source.index()),
         );
         self.timer.switch(prev);
         if self.preassigned.is_empty()
@@ -851,193 +949,215 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
             sched.schedule_in(gap, Ev::Create { flow });
             self.timer.switch(prev);
         }
-        self.process_at(sched, source, slot);
+        self.process_at(sched, self.order.internal(source), slot);
     }
 
-    /// A packet is now present at `node`: deliver, forward, or buffer.
+    /// A packet is now present at internal node `node`: deliver,
+    /// forward, or buffer.
+    ///
+    /// Each path does its state work first and then reports to the probe
+    /// in one [`Phase::Probe`] section, in the same hook order as the
+    /// work happened (arrival, then drop or preemption, then enqueue and
+    /// occupancy). Probes see only the hooks' arguments, never the state
+    /// in between, so reporting after the work changes nothing they
+    /// observe, and one section per path keeps a hop to 12 phase
+    /// switches.
     #[inline]
-    fn process_at(&mut self, sched: &mut Scheduler<'_, Ev>, node: NodeId, slot: u32) {
+    fn process_at(&mut self, sched: &mut Scheduler<'_, Ev>, node: u32, slot: u32) {
         if node == self.sink {
             self.deliver(sched.now(), slot);
             return;
         }
+        let n = node as usize;
+        let now = sched.now();
+        // The probes' view of the node: its external id.
+        let ext = self.order.external(node).index();
         // Threshold mixes batch instead of delaying: the delay plan is
         // ignored at mix nodes.
         if let BufferPolicy::ThresholdMix { threshold } = self.sim.buffer_policy {
+            self.store.park(slot, now, SimTime::MAX, None);
+            self.buffers[n].insert(&self.store, slot);
+            let depth = self.buffers[n].len() as u64;
+            self.occupancy[n].transition(now, depth);
+            let flush = self.buffers[n].len() >= threshold;
             let prev = self.timer.switch(Phase::Probe);
-            self.probe.on_arrival(node.index(), sched.now());
-            self.probe.on_packet(
-                sched.now(),
-                PacketEvent::Enqueued {
-                    packet: self.store.pid(slot).0,
-                    flow: self.store.flow(slot).index(),
-                    node: node.index(),
-                },
-            );
+            self.probe.on_arrival(ext, now);
+            self.probe
+                .on_packet(now, self.packet_event(PacketEventKind::Enqueued, slot, ext));
+            self.probe.on_occupancy(ext, now, depth);
+            if flush {
+                self.probe.on_flush(ext, now, depth);
+            }
             self.timer.switch(prev);
-            self.store.park(slot, sched.now(), SimTime::MAX, None);
-            self.buffers[node.index()].insert(&self.store, slot);
-            let depth = self.buffers[node.index()].len() as u64;
-            self.occupancy[node.index()].transition(sched.now(), depth);
-            let prev = self.timer.switch(Phase::Probe);
-            self.probe.on_occupancy(node.index(), sched.now(), depth);
-            self.timer.switch(prev);
-            if self.buffers[node.index()].len() >= threshold {
-                self.flushes[node.index()] += 1;
-                let batch = self.buffers[node.index()].len() as u64;
-                let prev = self.timer.switch(Phase::Probe);
-                self.probe.on_flush(node.index(), sched.now(), batch);
-                self.timer.switch(prev);
+            if flush {
+                self.flushes[n] += 1;
                 let mut scratch = std::mem::take(&mut self.mix_scratch);
-                self.buffers[node.index()].drain_slots_into(&mut scratch);
+                self.buffers[n].drain_slots_into(&mut scratch);
                 for batched in scratch.drain(..) {
-                    self.forward(sched, node, batched);
+                    self.forward(sched, node, ext, batched);
                 }
                 self.mix_scratch = scratch;
-                self.occupancy[node.index()].transition(sched.now(), 0);
+                self.occupancy[n].transition(now, 0);
                 let prev = self.timer.switch(Phase::Probe);
-                self.probe.on_occupancy(node.index(), sched.now(), 0);
+                self.probe.on_occupancy(ext, now, 0);
                 self.timer.switch(prev);
             }
             return;
         }
-        let strategy = self.strategies[node.index()];
+        let strategy = self.strategies[n];
         if strategy.is_none() {
-            self.forward(sched, node, slot);
+            self.forward(sched, node, ext, slot);
             return;
         }
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_arrival(node.index(), sched.now());
-        self.timer.switch(prev);
-        let delay = strategy.sample(&mut self.delay_rngs[node.index()]);
-        // Full buffer? Apply the policy before inserting.
-        if let Some(cap) = self.capacity {
-            if self.buffers[node.index()].len() >= cap {
-                match self.sim.buffer_policy {
-                    BufferPolicy::DropTail { .. } => {
-                        self.drops[node.index()] += 1;
-                        let prev = self.timer.switch(Phase::Probe);
-                        self.probe.on_drop(node.index(), sched.now());
-                        self.probe.on_packet(
-                            sched.now(),
-                            PacketEvent::Dropped {
-                                packet: self.store.pid(slot).0,
-                                flow: self.store.flow(slot).index(),
-                                node: node.index(),
-                            },
-                        );
-                        self.timer.switch(prev);
-                        self.store.release(slot);
-                        return;
-                    }
-                    BufferPolicy::Rcad { victim, .. } => {
-                        let prev = self.timer.switch(Phase::VictimSelect);
-                        let victim_id = self.buffers[node.index()]
-                            .select_victim(victim, &mut self.victim_rng)
-                            .expect("full buffer has a victim");
-                        let victim_slot = self.buffers[node.index()]
-                            .remove(&self.store, victim_id)
-                            .expect("victim is buffered");
-                        let timer = self
-                            .store
-                            .timer(victim_slot)
-                            .expect("timed entries outside mixes");
-                        let cancelled = sched.cancel(timer);
-                        debug_assert!(cancelled, "victim timer must be pending");
-                        self.timer.switch(prev);
-                        self.preemptions[node.index()] += 1;
-                        let prev = self.timer.switch(Phase::Probe);
-                        self.probe.on_preemption(node.index(), sched.now());
-                        self.probe.on_packet(
-                            sched.now(),
-                            PacketEvent::Preempted {
-                                packet: victim_id.0,
-                                flow: self.store.flow(victim_slot).index(),
-                                node: node.index(),
-                                victim_policy: victim.name(),
-                            },
-                        );
-                        self.timer.switch(prev);
-                        let depth = self.buffers[node.index()].len() as u64;
-                        self.occupancy[node.index()].transition(sched.now(), depth);
-                        let prev = self.timer.switch(Phase::Probe);
-                        self.probe.on_occupancy(node.index(), sched.now(), depth);
-                        self.timer.switch(prev);
-                        // "Transmit it immediately rather than drop packets."
-                        self.forward(sched, node, victim_slot);
-                    }
-                    _ => unreachable!("mix and unlimited never hit the full-buffer path"),
+        let delay = strategy.sample(&mut self.delay_rngs[n]);
+        // Full buffer? Apply the policy before inserting. The arrival is
+        // reported together with the drop or preemption it caused.
+        let full = self
+            .capacity
+            .is_some_and(|cap| self.buffers[n].len() >= cap);
+        if full {
+            match self.sim.buffer_policy {
+                BufferPolicy::DropTail { .. } => {
+                    self.drops[n] += 1;
+                    let prev = self.timer.switch(Phase::Probe);
+                    self.probe.on_arrival(ext, now);
+                    self.probe.on_drop(ext, now);
+                    self.probe
+                        .on_packet(now, self.packet_event(PacketEventKind::Dropped, slot, ext));
+                    self.timer.switch(prev);
+                    self.store.release(slot);
+                    return;
                 }
+                BufferPolicy::Rcad { victim, .. } => {
+                    let prev = self.timer.switch(Phase::VictimSelect);
+                    let victim_id = self.buffers[n]
+                        .select_victim(&self.store, victim, &mut self.victim_rng)
+                        .expect("full buffer has a victim");
+                    let victim_slot = self.buffers[n]
+                        .remove(victim_id)
+                        .expect("victim is buffered");
+                    let timer = self
+                        .store
+                        .timer(victim_slot)
+                        .expect("timed entries outside mixes");
+                    let cancelled = sched.cancel(timer);
+                    debug_assert!(cancelled, "victim timer must be pending");
+                    self.timer.switch(prev);
+                    self.preemptions[n] += 1;
+                    let depth = self.buffers[n].len() as u64;
+                    self.occupancy[n].transition(now, depth);
+                    let prev = self.timer.switch(Phase::Probe);
+                    self.probe.on_arrival(ext, now);
+                    self.probe.on_preemption(ext, now);
+                    self.probe.on_packet(
+                        now,
+                        PacketEvent::Preempted {
+                            packet: victim_id.0,
+                            flow: self.store.flow(victim_slot).index(),
+                            node: ext,
+                            victim_policy: victim.name(),
+                        },
+                    );
+                    self.probe.on_occupancy(ext, now, depth);
+                    // "Transmit it immediately rather than drop packets."
+                    self.probe.on_packet(
+                        now,
+                        self.packet_event(PacketEventKind::Departed, victim_slot, ext),
+                    );
+                    self.timer.switch(prev);
+                    self.transmit(sched, node, victim_slot);
+                }
+                _ => unreachable!("mix and unlimited never hit the full-buffer path"),
             }
         }
-        let release_at = sched.now() + delay;
+        let release_at = now + delay;
         let prev = self.timer.switch(Phase::QueuePush);
         let timer = sched.schedule_in(delay, Ev::Release { node, slot });
         self.timer.switch(prev);
+        self.store.park(slot, now, release_at, Some(timer));
+        self.buffers[n].insert(&self.store, slot);
+        let depth = self.buffers[n].len() as u64;
+        self.occupancy[n].transition(now, depth);
         let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_packet(
-            sched.now(),
-            PacketEvent::Enqueued {
-                packet: self.store.pid(slot).0,
-                flow: self.store.flow(slot).index(),
-                node: node.index(),
-            },
-        );
-        self.timer.switch(prev);
-        self.store.park(slot, sched.now(), release_at, Some(timer));
-        self.buffers[node.index()].insert(&self.store, slot);
-        let depth = self.buffers[node.index()].len() as u64;
-        self.occupancy[node.index()].transition(sched.now(), depth);
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_occupancy(node.index(), sched.now(), depth);
+        if !full {
+            self.probe.on_arrival(ext, now);
+        }
+        self.probe
+            .on_packet(now, self.packet_event(PacketEventKind::Enqueued, slot, ext));
+        self.probe.on_occupancy(ext, now, depth);
         self.timer.switch(prev);
     }
 
     #[inline]
-    fn on_release(&mut self, sched: &mut Scheduler<'_, Ev>, node: NodeId, slot: u32) {
+    fn on_release(&mut self, sched: &mut Scheduler<'_, Ev>, node: u32, slot: u32) {
+        let n = node as usize;
+        let now = sched.now();
         let pid = self.store.pid(slot);
-        let removed = self.buffers[node.index()]
-            .remove(&self.store, pid)
+        let removed = self.buffers[n]
+            .remove(pid)
             .expect("release timers fire only for buffered packets");
         debug_assert_eq!(removed, slot, "buffer entry must map back to its slot");
-        let depth = self.buffers[node.index()].len() as u64;
-        self.occupancy[node.index()].transition(sched.now(), depth);
+        let depth = self.buffers[n].len() as u64;
+        self.occupancy[n].transition(now, depth);
+        let ext = self.order.external(node).index();
         let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_occupancy(node.index(), sched.now(), depth);
+        self.probe.on_occupancy(ext, now, depth);
+        self.probe
+            .on_packet(now, self.packet_event(PacketEventKind::Departed, slot, ext));
         self.timer.switch(prev);
-        self.forward(sched, node, slot);
+        self.transmit(sched, node, slot);
     }
 
+    /// The lifecycle event `kind` of the packet in `slot` at external
+    /// node `ext`. Not for [`PacketEventKind::Preempted`], which also
+    /// names the victim policy.
     #[inline]
-    fn forward(&mut self, sched: &mut Scheduler<'_, Ev>, node: NodeId, slot: u32) {
+    fn packet_event(&self, kind: PacketEventKind, slot: u32, ext: usize) -> PacketEvent {
+        let packet = self.store.pid(slot).0;
+        let flow = self.store.flow(slot).index();
+        let node = ext;
+        match kind {
+            PacketEventKind::Created => PacketEvent::Created { packet, flow, node },
+            PacketEventKind::Enqueued => PacketEvent::Enqueued { packet, flow, node },
+            PacketEventKind::Departed => PacketEvent::Departed { packet, flow, node },
+            PacketEventKind::Dropped => PacketEvent::Dropped { packet, flow, node },
+            PacketEventKind::ArrivedAtSink => PacketEvent::ArrivedAtSink { packet, flow, node },
+            PacketEventKind::Preempted => unreachable!("preemptions carry their victim policy"),
+        }
+    }
+
+    /// Reports the departure of `slot` from internal node `node`
+    /// (external id `ext`) and transmits it.
+    #[inline]
+    fn forward(&mut self, sched: &mut Scheduler<'_, Ev>, node: u32, ext: usize, slot: u32) {
+        let now = sched.now();
         let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_packet(
-            sched.now(),
-            PacketEvent::Departed {
-                packet: self.store.pid(slot).0,
-                flow: self.store.flow(slot).index(),
-                node: node.index(),
-            },
-        );
+        self.probe
+            .on_packet(now, self.packet_event(PacketEventKind::Departed, slot, ext));
         self.timer.switch(prev);
+        self.transmit(sched, node, slot);
+    }
+
+    /// Sends `slot` from internal node `node` toward its next hop: over
+    /// the link to the next hop's arrival, across a shard boundary, or
+    /// lost. The departure is already reported.
+    #[inline]
+    fn transmit(&mut self, sched: &mut Scheduler<'_, Ev>, node: u32, slot: u32) {
         self.store.record_hop(slot);
-        let next = self
-            .sim
-            .routing
-            .next_hop(node)
-            .expect("non-sink nodes have a next hop");
-        self.tx_count[node.index()] += 1;
+        debug_assert_ne!(node, self.sink, "non-sink nodes have a next hop");
+        let next = self.order.next[node as usize];
+        self.tx_count[node as usize] += 1;
         match self.sim.link.transmit(&mut self.link_rng) {
             Some(delay) => {
                 if let Some(shard_of) = self.shard_of {
-                    if shard_of[next.index()] != self.my_shard {
+                    if shard_of[next as usize] != self.my_shard {
                         // Crossing a shard boundary: ship the packet's
                         // columns; the receiving shard re-materializes it
                         // and counts the reception.
                         self.handoffs_out += 1;
                         self.outbox.push(crate::sharded::Handoff {
                             at: sched.now() + delay,
-                            node: next,
+                            node: self.order.external(next),
                             pid: self.store.pid(slot),
                             flow: self.store.flow(slot),
                             origin: self.store.origin(slot),
@@ -1048,7 +1168,7 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                         return;
                     }
                 }
-                self.rx_count[next.index()] += 1;
+                self.rx_count[next as usize] += 1;
                 let prev = self.timer.switch(Phase::QueuePush);
                 sched.schedule_in(delay, Ev::Arrive { node: next, slot });
                 self.timer.switch(prev);
@@ -1073,11 +1193,11 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         self.probe.on_delivery(flow.index(), now, latency);
         self.probe.on_packet(
             now,
-            PacketEvent::ArrivedAtSink {
-                packet: pid.0,
-                flow: flow.index(),
-                node: self.sim.routing.sink().index(),
-            },
+            self.packet_event(
+                PacketEventKind::ArrivedAtSink,
+                slot,
+                self.sim.routing.sink().index(),
+            ),
         );
         self.timer.switch(prev);
         self.observations.push(Observation {
@@ -1102,6 +1222,39 @@ mod tests {
         let topo = Topology::line(hops as usize + 1);
         let routing = RoutingTree::shortest_path(&topo, NodeId(0)).unwrap();
         NetworkSimulation::builder(routing, vec![NodeId(hops)])
+    }
+
+    #[test]
+    fn delay_draws_follow_external_node_ids() {
+        // A route whose ids are out of order, next to a side branch
+        // (0 <- 5 <- 8 <- 9) that DFS visits first: the internal ids of
+        // the route's nodes are neither their external ids nor a
+        // permutation of them. Each node's one delay must still come
+        // from the DELAY substream of its external id.
+        let route = [6u32, 3, 4, 1, 7, 2, 10, 0];
+        let side = [(5, 0), (8, 5), (9, 8)];
+        let mut parents = vec![None; 11];
+        for (child, parent) in route.windows(2).map(|h| (h[0], h[1])).chain(side) {
+            parents[child as usize] = Some(NodeId(parent));
+        }
+        let routing = RoutingTree::from_parents(NodeId(0), parents).unwrap();
+        let sim = NetworkSimulation::builder(routing, vec![NodeId(6)])
+            .packets_per_source(1)
+            .buffer_policy(BufferPolicy::Unlimited)
+            .seed(9)
+            .build()
+            .unwrap();
+        let out = sim.run();
+        let factory = RngFactory::new(9);
+        let tau = sim.link.delay();
+        let expected =
+            route[..route.len() - 1]
+                .iter()
+                .fold(out.truth[0].created_at, |at, &node| {
+                    let mut rng = factory.substream(streams::DELAY, u64::from(node));
+                    at + sim.delay_plan().for_node(NodeId(node)).sample(&mut rng) + tau
+                });
+        assert_eq!(out.observations[0].arrival, expected);
     }
 
     #[test]

@@ -9,20 +9,25 @@
 //! Events and cross-shard handoffs ship plain slot indices.
 //!
 //! [`StoreBuffer`] is the companion per-node buffer: a `PacketId`-sorted
-//! `Vec` of `(id, slot)` entries plus optional sorted victim-index `Vec`s
-//! that replicate the exact selection and tie-break semantics of
-//! [`crate::buffer::NodeBuffer`]'s BTreeSet indexes (which remain as the
-//! reference model for the property tests) — same victims, same RNG draw
-//! counts, byte-identical outcomes.
+//! `Vec` of `(id, slot)` entries and nothing else. Victim selection scans
+//! those entries against the store's columns, replicating the exact
+//! selection and tie-break semantics of [`crate::buffer::NodeBuffer`]'s
+//! BTreeSet indexes (which remain as the reference model for the property
+//! tests) — same victims, same RNG draw counts, byte-identical outcomes.
+//! A sorted victim index would cost two binary searches and two memmoves
+//! on every hop to serve a lookup that happens only when a buffer is
+//! full; the O(k) scan runs only then, and `insert` is already O(k).
 //!
 //! [`Packet`]: tempriv_net::packet::Packet
+
+use std::cmp::Reverse;
 
 use tempriv_net::ids::{FlowId, NodeId, PacketId};
 use tempriv_sim::queue::EventId;
 use tempriv_sim::rng::SimRng;
 use tempriv_sim::time::SimTime;
 
-use crate::buffer::{BufferPolicy, VictimPolicy};
+use crate::buffer::VictimPolicy;
 
 /// Slab of in-flight packet state in struct-of-arrays layout.
 ///
@@ -212,53 +217,22 @@ impl PacketStore {
     }
 }
 
-/// Which sorted victim index a [`StoreBuffer`] maintains, decided once
-/// from the buffer policy exactly as `NodeBuffer::for_policy` does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VictimKeys {
-    /// No index: drop-tail, unlimited, mixes, and random victims (the
-    /// id-sorted entry list itself is the random index).
-    None,
-    /// `(release_at, id)`-sorted — shortest/longest-remaining victims.
-    ByRelease,
-    /// `(buffered_at, id)`-sorted — oldest-first victims.
-    ByBuffered,
-}
-
 /// Per-node buffer over [`PacketStore`] slots.
 ///
 /// Entries are kept sorted by `PacketId` in a plain `Vec` (binary-search
-/// insert; occupancies are tens, not thousands), with the victim index
-/// as a second sorted `Vec`. Cleared capacity is retained, so after
-/// warm-up the buffer never allocates again.
-#[derive(Debug, Clone)]
+/// insert; occupancies are tens, not thousands). Cleared capacity is
+/// retained, so after warm-up the buffer never allocates again.
+#[derive(Debug, Clone, Default)]
 pub struct StoreBuffer {
     entries: Vec<(PacketId, u32)>,
-    index: Vec<(SimTime, PacketId)>,
-    keys: VictimKeys,
     high_water: usize,
 }
 
 impl StoreBuffer {
-    /// A buffer with the victim index `policy` requires.
+    /// An empty buffer.
     #[must_use]
-    pub fn for_policy(policy: &BufferPolicy) -> Self {
-        let keys = match policy {
-            BufferPolicy::Rcad { victim, .. } => match victim {
-                VictimPolicy::ShortestRemaining | VictimPolicy::LongestRemaining => {
-                    VictimKeys::ByRelease
-                }
-                VictimPolicy::Oldest => VictimKeys::ByBuffered,
-                VictimPolicy::Random => VictimKeys::None,
-            },
-            _ => VictimKeys::None,
-        };
-        StoreBuffer {
-            entries: Vec::new(),
-            index: Vec::new(),
-            keys,
-            high_water: 0,
-        }
+    pub fn new() -> Self {
+        StoreBuffer::default()
     }
 
     /// Buffered packet count.
@@ -280,8 +254,8 @@ impl StoreBuffer {
         self.high_water
     }
 
-    /// Inserts a parked packet. The store must already carry the slot's
-    /// buffering state (see [`PacketStore::park`]).
+    /// Inserts a parked packet. Victim selection reads the slot's
+    /// buffering state from the store (see [`PacketStore::park`]).
     ///
     /// # Panics
     ///
@@ -292,61 +266,49 @@ impl StoreBuffer {
             Ok(_) => panic!("packet {pid:?} already buffered"),
             Err(pos) => self.entries.insert(pos, (pid, slot)),
         }
-        if let Some(key) = self.index_key(store, slot) {
-            let pos = self.index.partition_point(|&e| e < key);
-            self.index.insert(pos, key);
-        }
         self.high_water = self.high_water.max(self.entries.len());
     }
 
     /// Removes a buffered packet by id, returning its slot.
     #[must_use]
-    pub fn remove(&mut self, store: &PacketStore, pid: PacketId) -> Option<u32> {
+    pub fn remove(&mut self, pid: PacketId) -> Option<u32> {
         let pos = self.entries.binary_search_by(|e| e.0.cmp(&pid)).ok()?;
-        let (_, slot) = self.entries.remove(pos);
-        if let Some(key) = self.index_key(store, slot) {
-            let pos = self.index.partition_point(|&e| e < key);
-            debug_assert!(
-                self.index.get(pos) == Some(&key),
-                "victim index out of sync"
-            );
-            self.index.remove(pos);
-        }
-        Some(slot)
-    }
-
-    /// The victim-index key for `slot`, if this buffer keeps one.
-    fn index_key(&self, store: &PacketStore, slot: u32) -> Option<(SimTime, PacketId)> {
-        match self.keys {
-            VictimKeys::None => None,
-            VictimKeys::ByRelease => Some((store.release_at(slot), store.pid(slot))),
-            VictimKeys::ByBuffered => Some((store.buffered_at(slot), store.pid(slot))),
-        }
+        Some(self.entries.remove(pos).1)
     }
 
     /// Picks the packet `policy` sacrifices, identically (selection and
-    /// RNG draws) to `NodeBuffer::select_victim`: shortest-remaining is
-    /// the earliest `(release, id)`; longest-remaining the maximal
-    /// release with the smallest id among ties; oldest the earliest
-    /// `(buffered, id)`; random one uniform index draw into the
-    /// id-sorted entries.
-    pub fn select_victim(&self, policy: VictimPolicy, rng: &mut SimRng) -> Option<PacketId> {
+    /// RNG draws) to `NodeBuffer::select_victim`, by one scan of the
+    /// id-sorted entries: shortest-remaining is the minimal
+    /// `(release, id)`; longest-remaining the maximal release with the
+    /// smallest id among ties; oldest the minimal `(buffered, id)`;
+    /// random one uniform index draw into the entries.
+    pub fn select_victim(
+        &self,
+        store: &PacketStore,
+        policy: VictimPolicy,
+        rng: &mut SimRng,
+    ) -> Option<PacketId> {
         if self.entries.is_empty() {
             return None;
         }
         match policy {
-            VictimPolicy::ShortestRemaining => Some(self.index[0].1),
+            VictimPolicy::ShortestRemaining => self.first_min(|slot| store.release_at(slot)),
             VictimPolicy::LongestRemaining => {
-                let max_release = self.index.last().expect("non-empty index").0;
-                let first = self.index.partition_point(|&(t, _)| t < max_release);
-                Some(self.index[first].1)
+                self.first_min(|slot| Reverse(store.release_at(slot)))
             }
-            VictimPolicy::Oldest => Some(self.index[0].1),
-            VictimPolicy::Random => {
-                let idx = rng.sample_index(self.entries.len());
-                Some(self.entries[idx].0)
-            }
+            VictimPolicy::Oldest => self.first_min(|slot| store.buffered_at(slot)),
+            VictimPolicy::Random => Some(self.entries[rng.sample_index(self.entries.len())].0),
         }
+    }
+
+    /// The entry minimizing `key`. Entries ascend by id and `min_by_key`
+    /// keeps the first of equal minima, so ties go to the smallest id.
+    #[inline]
+    fn first_min<K: Ord>(&self, key: impl Fn(u32) -> K) -> Option<PacketId> {
+        self.entries
+            .iter()
+            .min_by_key(|&&(_, slot)| key(slot))
+            .map(|&(pid, _)| pid)
     }
 
     /// Drains every buffered slot into `out` in ascending packet-id
@@ -355,7 +317,6 @@ impl StoreBuffer {
     pub fn drain_slots_into(&mut self, out: &mut Vec<u32>) {
         out.extend(self.entries.iter().map(|&(_, slot)| slot));
         self.entries.clear();
-        self.index.clear();
     }
 
     /// Buffered `(id, slot)` entries in ascending id order.
@@ -404,41 +365,37 @@ mod tests {
 
     #[test]
     fn victim_selection_matches_policy_semantics() {
-        let rcad = |victim| BufferPolicy::Rcad {
-            capacity: 4,
-            victim,
-        };
         // Two packets share the max release; the smaller id must win
         // the longest-remaining tie-break, as the BTreeSet range scan
         // had it.
         let (store, slots) = store_with(&[(5, 9.0), (2, 9.0), (7, 3.0)]);
         let mut rng = RngFactory::new(1).stream(0);
 
-        let mut buf = StoreBuffer::for_policy(&rcad(VictimPolicy::ShortestRemaining));
+        let mut buf = StoreBuffer::new();
         for &s in &slots {
             buf.insert(&store, s);
         }
         assert_eq!(
-            buf.select_victim(VictimPolicy::ShortestRemaining, &mut rng),
+            buf.select_victim(&store, VictimPolicy::ShortestRemaining, &mut rng),
             Some(PacketId(7))
         );
 
-        let mut buf = StoreBuffer::for_policy(&rcad(VictimPolicy::LongestRemaining));
+        let mut buf = StoreBuffer::new();
         for &s in &slots {
             buf.insert(&store, s);
         }
         assert_eq!(
-            buf.select_victim(VictimPolicy::LongestRemaining, &mut rng),
+            buf.select_victim(&store, VictimPolicy::LongestRemaining, &mut rng),
             Some(PacketId(2))
         );
         assert_eq!(rng.draws(), 0, "deterministic policies never draw");
 
-        let mut buf = StoreBuffer::for_policy(&rcad(VictimPolicy::Random));
+        let mut buf = StoreBuffer::new();
         for &s in &slots {
             buf.insert(&store, s);
         }
         let picked = buf
-            .select_victim(VictimPolicy::Random, &mut rng)
+            .select_victim(&store, VictimPolicy::Random, &mut rng)
             .expect("non-empty");
         assert_eq!(rng.draws(), 1, "random victims cost exactly one draw");
         assert!([PacketId(2), PacketId(5), PacketId(7)].contains(&picked));
@@ -447,7 +404,7 @@ mod tests {
     #[test]
     fn drain_is_in_packet_id_order_and_capacity_is_kept() {
         let (store, slots) = store_with(&[(9, 1.0), (3, 2.0), (6, 3.0)]);
-        let mut buf = StoreBuffer::for_policy(&BufferPolicy::ThresholdMix { threshold: 3 });
+        let mut buf = StoreBuffer::new();
         for &s in &slots {
             buf.insert(&store, s);
         }
@@ -463,22 +420,19 @@ mod tests {
     #[test]
     fn remove_keeps_the_index_in_sync() {
         let (store, slots) = store_with(&[(1, 5.0), (2, 4.0), (3, 6.0)]);
-        let mut buf = StoreBuffer::for_policy(&BufferPolicy::Rcad {
-            capacity: 4,
-            victim: VictimPolicy::ShortestRemaining,
-        });
+        let mut buf = StoreBuffer::new();
         for &s in &slots {
             buf.insert(&store, s);
         }
         let mut rng = RngFactory::new(2).stream(0);
         assert_eq!(
-            buf.remove(&store, PacketId(2)).map(|s| store.pid(s)),
+            buf.remove(PacketId(2)).map(|s| store.pid(s)),
             Some(PacketId(2))
         );
         assert_eq!(
-            buf.select_victim(VictimPolicy::ShortestRemaining, &mut rng),
+            buf.select_victim(&store, VictimPolicy::ShortestRemaining, &mut rng),
             Some(PacketId(1))
         );
-        assert!(buf.remove(&store, PacketId(42)).is_none());
+        assert!(buf.remove(PacketId(42)).is_none());
     }
 }

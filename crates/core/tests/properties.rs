@@ -289,7 +289,7 @@ proptest! {
 
         let policy = BufferPolicy::Rcad { capacity: 16, victim };
         let mut store = PacketStore::new();
-        let mut buf = StoreBuffer::for_policy(&policy);
+        let mut buf = StoreBuffer::new();
         let mut refbuf = NodeBuffer::for_policy(&policy);
         let mut model: BTreeMap<PacketId, Box<RefPacket>> = BTreeMap::new();
         let mut buffered: Vec<PacketId> = Vec::new();
@@ -363,7 +363,7 @@ proptest! {
                 4 => {
                     if !buffered.is_empty() {
                         let pid = buffered.remove(pick as usize % buffered.len());
-                        let slot = buf.remove(&store, pid);
+                        let slot = buf.remove(pid);
                         prop_assert_eq!(slot, Some(model[&pid].slot));
                         let entry = refbuf.remove(pid);
                         prop_assert_eq!(entry.map(|e| e.packet.id), Some(pid));
@@ -415,7 +415,7 @@ proptest! {
                 let mut r_soa = RngFactory::new(seed).stream(next_pid);
                 let mut r_ref = RngFactory::new(seed).stream(next_pid);
                 prop_assert_eq!(
-                    buf.select_victim(victim, &mut r_soa),
+                    buf.select_victim(&store, victim, &mut r_soa),
                     refbuf.select_victim(victim, &mut r_ref)
                 );
                 prop_assert_eq!(r_soa.draws(), r_ref.draws());

@@ -18,7 +18,10 @@ use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
 use tempriv_core::delay::DelayPlan;
 use tempriv_core::sim_driver::NetworkSimulation;
 use tempriv_net::convergecast::Convergecast;
+use tempriv_net::ids::NodeId;
 use tempriv_net::traffic::TrafficModel;
+use tempriv_sim::rng::RngFactory;
+use tempriv_telemetry::RecordingProbe;
 
 const SHARDS: u32 = 4;
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -148,4 +151,83 @@ fn shard_stats_account_for_every_event_and_node() {
         out.shards.iter().map(|s| s.peak_fes).sum::<u64>(),
         "peak FES aggregates across shards"
     );
+}
+
+/// A routing tree over `n` nodes whose external ids are a seeded
+/// shuffle of the construction order: logical node 0 is the sink, nodes
+/// 1..=4 hang off it, and every later node `k` joins the subtree of
+/// `k mod 4` under one of that subtree's two latest nodes. Four
+/// sink-subtrees give the exact cut real handoffs, and routes run tens
+/// of hops deep. Returns the tree and one source per 15 logical nodes.
+fn shuffled_tree(n: usize, seed: u64) -> (tempriv_net::routing::RoutingTree, Vec<NodeId>) {
+    let mut rng = RngFactory::new(seed).stream(0);
+    let mut label: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        label.swap(i, rng.sample_index(i + 1));
+    }
+    let mut parents = vec![None; n];
+    for k in 1..n {
+        let parent = if k <= 4 {
+            0
+        } else {
+            k - 4 * (1 + rng.sample_index(2.min((k - 1) / 4)))
+        };
+        parents[label[k] as usize] = Some(NodeId(label[parent]));
+    }
+    let routing = tempriv_net::routing::RoutingTree::from_parents(NodeId(label[0]), parents)
+        .expect("parents form a tree");
+    let sources = (5..n).step_by(15).map(|k| NodeId(label[k])).collect();
+    (routing, sources)
+}
+
+/// The driver numbers nodes internally in DFS order; nothing observable
+/// may carry that numbering. On a shuffled-id tree, node reports come
+/// back in external id order with counts that match the routes, probe
+/// hooks see external ids, and the serial and sharded engines agree.
+#[test]
+fn internal_node_numbering_is_invisible() {
+    for (n, seed) in [(200, 11), (317, 12), (400, 13)] {
+        let (routing, sources) = shuffled_tree(n, seed);
+        let sim = NetworkSimulation::builder(routing.clone(), sources.clone())
+            .traffic(TrafficModel::periodic(2.0))
+            .packets_per_source(40)
+            .delay_plan(DelayPlan::shared_exponential(30.0))
+            .buffer_policy(BufferPolicy::Unlimited)
+            .seed(seed)
+            .build()
+            .expect("shuffled config is valid");
+        let mut probe = RecordingProbe::new(n);
+        let out = sim.run_probed(&mut probe);
+        assert_eq!(out, sim.run(), "n={n}: the probe must not perturb the run");
+
+        // Every packet crosses its whole route: each node before the
+        // sink transmits it once, each node after the source receives
+        // it once.
+        let mut tx = vec![0u64; n];
+        let mut rx = vec![0u64; n];
+        for (flow, &src) in out.flows.iter().zip(&sources) {
+            let path = routing.path(src);
+            for hop in path.windows(2) {
+                tx[hop[0].index()] += flow.created;
+                rx[hop[1].index()] += flow.created;
+            }
+        }
+        let telemetry = probe.finish(out.end_time);
+        for (i, report) in out.nodes.iter().enumerate() {
+            assert_eq!(report.node, NodeId(i as u32), "n={n}: reports by id");
+            assert_eq!(report.transmissions, tx[i], "n={n}: node {i} tx");
+            assert_eq!(report.receptions, rx[i], "n={n}: node {i} rx");
+            assert_eq!(
+                telemetry.nodes[i].high_water, report.peak_occupancy,
+                "n={n}: node {i} probe high-water"
+            );
+        }
+        assert!(out.nodes.iter().any(|r| r.peak_occupancy > 1));
+
+        let digest = out.digest();
+        assert_eq!(digest, sim.run_sharded(1, 1).digest(), "n={n}: 1 shard");
+        let cut = sim.run_sharded(4, 2);
+        assert!(cut.shards.iter().any(|s| s.handoffs_out > 0));
+        assert_eq!(digest, cut.digest(), "n={n}: exact 4-shard cut");
+    }
 }

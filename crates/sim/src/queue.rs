@@ -4,8 +4,18 @@
 //! the ordering total: events scheduled at the same instant pop in the order
 //! they were scheduled, which keeps runs deterministic. Because the order is
 //! total, the pop sequence is a pure function of the push/cancel history —
-//! independent of the heap arity — so this structure is drop-in
-//! interchangeable with the binary-heap version it replaced.
+//! independent of the heap arity and of the sift strategy.
+//!
+//! Each heap slot carries one packed `u128` key, `(ticks << 64) | seq`, so
+//! comparing two entries is a single integer compare and the time and
+//! sequence are decoded from the key on the way out. Removing the root uses
+//! a *bottom-up* sift: the hole left by the root walks down to a leaf along
+//! the minimum child (three compares per 4-ary level, and none against the
+//! element being re-placed), then the heap's former last element sifts up
+//! from that leaf. The re-placed element came from the bottom of the heap,
+//! so it rarely climbs more than a level, and the classic sift-down's fourth
+//! compare per level disappears. Compaction's Floyd heapify re-seats each
+//! internal node with the same walk, bounded to that node's subtree.
 //!
 //! [`EventId`]s are the dense monotonically-increasing sequence numbers
 //! themselves, so liveness bookkeeping needs no hashing: a single
@@ -14,8 +24,8 @@
 //! delay timers are still pending) is an O(1) bit set; cancelled entries
 //! are tombstoned in place and skipped when they reach the heap top. When
 //! tombstones outnumber half the heap, the heap is compacted in one O(n)
-//! retain-and-heapify pass, so cancel-heavy workloads cannot grow the heap
-//! unboundedly (see [`EventQueue::footprint`]).
+//! retain-and-heapify pass (Floyd), so cancel-heavy workloads cannot grow
+//! the heap unboundedly (see [`EventQueue::footprint`]).
 
 use crate::time::SimTime;
 
@@ -33,17 +43,30 @@ impl EventId {
 
 #[derive(Debug)]
 struct Slot<E> {
-    time: SimTime,
-    seq: u64,
+    /// `(ticks << 64) | seq`: ordering the packed integer orders by
+    /// `(time, seq)`, a *total* order, so the pop sequence is unique no
+    /// matter how the heap arranges equal-time entries.
+    key: u128,
     payload: E,
 }
 
 impl<E> Slot<E> {
-    /// The heap key; `(time, seq)` is a *total* order, so the pop sequence
-    /// is unique no matter how the heap arranges equal-time entries.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn new(time: SimTime, seq: u64, payload: E) -> Self {
+        Slot {
+            key: (u128::from(time.ticks()) << 64) | u128::from(seq),
+            payload,
+        }
+    }
+
+    #[inline]
+    fn time(&self) -> SimTime {
+        SimTime::from_ticks((self.key >> 64) as u64)
+    }
+
+    #[inline]
+    fn seq(&self) -> u64 {
+        self.key as u64
     }
 }
 
@@ -103,7 +126,7 @@ impl SettledBits {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// 4-ary min-heap ordered by `(time, seq)`.
+    /// 4-ary min-heap ordered by the packed `(time, seq)` key.
     heap: Vec<Slot<E>>,
     /// Bit set once an id is delivered or cancelled; heap entries whose
     /// bit is set are tombstones.
@@ -147,8 +170,8 @@ impl<E> EventQueue<E> {
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
-        self.heap.push(Slot { time, seq, payload });
-        self.sift_up(self.heap.len() - 1);
+        self.heap.push(Slot::new(time, seq, payload));
+        self.sift_up(self.heap.len() - 1, 0);
         EventId(seq)
     }
 
@@ -184,7 +207,7 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.purge_cancelled_top();
-        self.heap.first().map(|e| e.time)
+        self.heap.first().map(Slot::time)
     }
 
     /// Removes and returns the earliest pending event.
@@ -198,16 +221,17 @@ impl<E> EventQueue<E> {
     pub fn pop_with_id(&mut self) -> Option<(SimTime, EventId, E)> {
         self.purge_cancelled_top();
         let slot = self.remove_top()?;
-        self.settled.set(slot.seq);
+        let seq = slot.seq();
+        self.settled.set(seq);
         self.live -= 1;
         self.delivered += 1;
-        Some((slot.time, EventId(slot.seq), slot.payload))
+        Some((slot.time(), EventId(seq), slot.payload))
     }
 
     #[inline]
     fn purge_cancelled_top(&mut self) {
         while let Some(top) = self.heap.first() {
-            if self.settled.get(top.seq) {
+            if self.settled.get(top.seq()) {
                 self.tombstones -= 1;
                 self.remove_top();
             } else {
@@ -216,64 +240,75 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes the heap root, restoring the heap property.
+    /// Removes the heap root: its hole walks to a leaf, the former last
+    /// element takes the leaf and sifts up.
     fn remove_top(&mut self) -> Option<Slot<E>> {
         let last = self.heap.pop()?;
         if self.heap.is_empty() {
             return Some(last);
         }
-        let top = std::mem::replace(&mut self.heap[0], last);
-        self.sift_down(0);
+        let leaf = self.sink_to_leaf(0);
+        let top = std::mem::replace(&mut self.heap[leaf], last);
+        self.sift_up(leaf, 0);
         Some(top)
     }
 
     /// Sweeps every tombstone out of the heap in one O(n) pass (Floyd
-    /// heapify), bounding the footprint of cancel-heavy workloads.
+    /// heapify with the same bottom-up sift as [`EventQueue::pop`]),
+    /// bounding the footprint of cancel-heavy workloads.
     fn compact(&mut self) {
         let settled = &self.settled;
-        self.heap.retain(|slot| !settled.get(slot.seq));
+        self.heap.retain(|slot| !settled.get(slot.seq()));
         self.tombstones = 0;
         self.compactions += 1;
         for i in (0..self.heap.len() / 4 + 1).rev() {
-            self.sift_down(i);
+            let leaf = self.sink_to_leaf(i);
+            self.sift_up(leaf, i);
         }
     }
 
+    /// Moves the entry at `i` to a leaf of its subtree, swapping it with
+    /// the minimum child at each level (no compare against the entry
+    /// itself), and returns the leaf. The caller re-seats an entry there
+    /// with [`EventQueue::sift_up`].
     #[inline]
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
+    fn sink_to_leaf(&mut self, mut i: usize) -> usize {
+        let len = self.heap.len();
+        loop {
+            let first = 4 * i + 1;
+            let min = if first + 3 < len {
+                // Full level: a branch-free tournament over four keys.
+                let kids = &self.heap[first..first + 4];
+                let a = usize::from(kids[1].key < kids[0].key);
+                let b = 2 + usize::from(kids[3].key < kids[2].key);
+                first + if kids[b].key < kids[a].key { b } else { a }
+            } else if first < len {
+                // The last, partial level: its children are leaves.
+                (first + 1..len).fold(first, |m, c| {
+                    if self.heap[c].key < self.heap[m].key {
+                        c
+                    } else {
+                        m
+                    }
+                })
+            } else {
+                return i;
+            };
+            self.heap.swap(i, min);
+            i = min;
+        }
+    }
+
+    /// Sifts the entry at `i` up, but no higher than index `top`.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize, top: usize) {
+        while i > top {
             let parent = (i - 1) / 4;
-            if self.heap[i].key() < self.heap[parent].key() {
+            if self.heap[i].key < self.heap[parent].key {
                 self.heap.swap(i, parent);
                 i = parent;
             } else {
                 break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        loop {
-            let first_child = 4 * i + 1;
-            if first_child >= len {
-                return;
-            }
-            let mut min = first_child;
-            let mut min_key = self.heap[min].key();
-            let last_child = (first_child + 3).min(len - 1);
-            for c in first_child + 1..=last_child {
-                let key = self.heap[c].key();
-                if key < min_key {
-                    min = c;
-                    min_key = key;
-                }
-            }
-            if min_key < self.heap[i].key() {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                return;
             }
         }
     }
@@ -362,6 +397,30 @@ mod tests {
         q.push(t(1.0), "c");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn event_at_max_time_pops_last() {
+        // The packed key puts the time in the high 64 bits: an instant of
+        // `SimTime::MAX` must still order after everything, with ties at
+        // that instant broken by insertion order.
+        let mut q = EventQueue::new();
+        q.push(SimTime::MAX, "max-a");
+        q.push(SimTime::from_ticks(u64::MAX - 1), "max-1");
+        q.push(SimTime::ZERO, "zero");
+        q.push(SimTime::MAX, "max-b");
+        q.push(t(5.0), "five");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (SimTime::ZERO, "zero"),
+                (t(5.0), "five"),
+                (SimTime::from_ticks(u64::MAX - 1), "max-1"),
+                (SimTime::MAX, "max-a"),
+                (SimTime::MAX, "max-b"),
+            ]
+        );
     }
 
     #[test]

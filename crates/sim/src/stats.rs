@@ -403,7 +403,7 @@ impl StateDwell {
     /// Time-weighted mean state.
     #[must_use]
     pub fn mean(&self, now: SimTime) -> f64 {
-        self.pmf(now).into_iter().map(|(k, p)| k as f64 * p).sum()
+        pmf_mean(&self.pmf(now))
     }
 
     /// Current state.
@@ -411,6 +411,14 @@ impl StateDwell {
     pub fn current(&self) -> u64 {
         self.state
     }
+}
+
+/// Mean of a `(state, probability)` PMF such as [`StateDwell::pmf`]
+/// returns, summed in PMF order — so a caller that already holds the PMF
+/// gets exactly [`StateDwell::mean`] without building it twice.
+#[must_use]
+pub fn pmf_mean(pmf: &[(u64, f64)]) -> f64 {
+    pmf.iter().map(|&(k, p)| k as f64 * p).sum()
 }
 
 /// Sample mean with a 95% normal-approximation confidence half-width:

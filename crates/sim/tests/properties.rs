@@ -25,6 +25,29 @@ proptest! {
         }
     }
 
+    /// The packed `(ticks << 64) | seq` heap key orders instants at the
+    /// far end of the clock exactly like small ones: times mixing
+    /// `0..1000` with `u64::MAX - 2^16..=u64::MAX` still pop in
+    /// `(time, insertion)` order.
+    #[test]
+    fn queue_pops_in_total_order_at_extreme_times(
+        times in prop::collection::vec(
+            prop_oneof![0u64..1_000, (0u64..(1 << 16) + 1).prop_map(|d| u64::MAX - d)],
+            1..200,
+        ),
+    ) {
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_ticks(t), i);
+        }
+        let mut expect: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
+        expect.sort_unstable();
+        let got: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, i)| (t.ticks(), i))
+            .collect();
+        prop_assert_eq!(got, expect);
+    }
+
     /// Cancel removes exactly the requested events: the survivors pop,
     /// the cancelled never do, and counts add up.
     #[test]

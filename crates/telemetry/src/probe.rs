@@ -10,7 +10,7 @@
 //! [`Trace`] of recent probe events.
 
 use serde::{Deserialize, Serialize};
-use tempriv_sim::stats::{OnlineStats, StateDwell};
+use tempriv_sim::stats::{pmf_mean, OnlineStats, StateDwell};
 use tempriv_sim::time::SimTime;
 use tempriv_sim::trace::Trace;
 
@@ -104,46 +104,57 @@ impl SimProbe for NullProbe {}
 /// probes can be lent to a run (e.g. inside a pair) without moving
 /// ownership.
 impl<P: SimProbe + ?Sized> SimProbe for &mut P {
+    #[inline]
     fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
         (**self).on_occupancy(node, now, depth);
     }
 
+    #[inline]
     fn on_preemption(&mut self, node: usize, now: SimTime) {
         (**self).on_preemption(node, now);
     }
 
+    #[inline]
     fn on_drop(&mut self, node: usize, now: SimTime) {
         (**self).on_drop(node, now);
     }
 
+    #[inline]
     fn on_flush(&mut self, node: usize, now: SimTime, batch: u64) {
         (**self).on_flush(node, now, batch);
     }
 
+    #[inline]
     fn on_arrival(&mut self, node: usize, now: SimTime) {
         (**self).on_arrival(node, now);
     }
 
+    #[inline]
     fn on_delivery(&mut self, flow: usize, now: SimTime, latency: f64) {
         (**self).on_delivery(flow, now, latency);
     }
 
+    #[inline]
     fn on_high_water(&mut self, node: usize, high_water: u64) {
         (**self).on_high_water(node, high_water);
     }
 
+    #[inline]
     fn on_packet(&mut self, now: SimTime, event: PacketEvent) {
         (**self).on_packet(now, event);
     }
 
+    #[inline]
     fn on_engine_stats(&mut self, events: u64, peak_fes: u64) {
         (**self).on_engine_stats(events, peak_fes);
     }
 
+    #[inline]
     fn on_queue_stats(&mut self, footprint: u64, compactions: u64) {
         (**self).on_queue_stats(footprint, compactions);
     }
 
+    #[inline]
     fn on_run_end(&mut self, end: SimTime) {
         (**self).on_run_end(end);
     }
@@ -154,66 +165,77 @@ impl<P: SimProbe + ?Sized> SimProbe for &mut P {
 /// switched on and off at run time, e.g.
 /// `(RecordingProbe::new(n), flight_on.then(FlightRecorder::new))`.
 impl<P: SimProbe> SimProbe for Option<P> {
+    #[inline]
     fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
         if let Some(p) = self {
             p.on_occupancy(node, now, depth);
         }
     }
 
+    #[inline]
     fn on_preemption(&mut self, node: usize, now: SimTime) {
         if let Some(p) = self {
             p.on_preemption(node, now);
         }
     }
 
+    #[inline]
     fn on_drop(&mut self, node: usize, now: SimTime) {
         if let Some(p) = self {
             p.on_drop(node, now);
         }
     }
 
+    #[inline]
     fn on_flush(&mut self, node: usize, now: SimTime, batch: u64) {
         if let Some(p) = self {
             p.on_flush(node, now, batch);
         }
     }
 
+    #[inline]
     fn on_arrival(&mut self, node: usize, now: SimTime) {
         if let Some(p) = self {
             p.on_arrival(node, now);
         }
     }
 
+    #[inline]
     fn on_delivery(&mut self, flow: usize, now: SimTime, latency: f64) {
         if let Some(p) = self {
             p.on_delivery(flow, now, latency);
         }
     }
 
+    #[inline]
     fn on_high_water(&mut self, node: usize, high_water: u64) {
         if let Some(p) = self {
             p.on_high_water(node, high_water);
         }
     }
 
+    #[inline]
     fn on_packet(&mut self, now: SimTime, event: PacketEvent) {
         if let Some(p) = self {
             p.on_packet(now, event);
         }
     }
 
+    #[inline]
     fn on_engine_stats(&mut self, events: u64, peak_fes: u64) {
         if let Some(p) = self {
             p.on_engine_stats(events, peak_fes);
         }
     }
 
+    #[inline]
     fn on_queue_stats(&mut self, footprint: u64, compactions: u64) {
         if let Some(p) = self {
             p.on_queue_stats(footprint, compactions);
         }
     }
 
+    #[inline]
     fn on_run_end(&mut self, end: SimTime) {
         if let Some(p) = self {
             p.on_run_end(end);
@@ -226,56 +248,67 @@ impl<P: SimProbe> SimProbe for Option<P> {
 /// packet-level flight recording in one pass, e.g.
 /// `(RecordingProbe::new(n), FlightRecorder::new())`.
 impl<A: SimProbe, B: SimProbe> SimProbe for (A, B) {
+    #[inline]
     fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
         self.0.on_occupancy(node, now, depth);
         self.1.on_occupancy(node, now, depth);
     }
 
+    #[inline]
     fn on_preemption(&mut self, node: usize, now: SimTime) {
         self.0.on_preemption(node, now);
         self.1.on_preemption(node, now);
     }
 
+    #[inline]
     fn on_drop(&mut self, node: usize, now: SimTime) {
         self.0.on_drop(node, now);
         self.1.on_drop(node, now);
     }
 
+    #[inline]
     fn on_flush(&mut self, node: usize, now: SimTime, batch: u64) {
         self.0.on_flush(node, now, batch);
         self.1.on_flush(node, now, batch);
     }
 
+    #[inline]
     fn on_arrival(&mut self, node: usize, now: SimTime) {
         self.0.on_arrival(node, now);
         self.1.on_arrival(node, now);
     }
 
+    #[inline]
     fn on_delivery(&mut self, flow: usize, now: SimTime, latency: f64) {
         self.0.on_delivery(flow, now, latency);
         self.1.on_delivery(flow, now, latency);
     }
 
+    #[inline]
     fn on_high_water(&mut self, node: usize, high_water: u64) {
         self.0.on_high_water(node, high_water);
         self.1.on_high_water(node, high_water);
     }
 
+    #[inline]
     fn on_packet(&mut self, now: SimTime, event: PacketEvent) {
         self.0.on_packet(now, event);
         self.1.on_packet(now, event);
     }
 
+    #[inline]
     fn on_engine_stats(&mut self, events: u64, peak_fes: u64) {
         self.0.on_engine_stats(events, peak_fes);
         self.1.on_engine_stats(events, peak_fes);
     }
 
+    #[inline]
     fn on_queue_stats(&mut self, footprint: u64, compactions: u64) {
         self.0.on_queue_stats(footprint, compactions);
         self.1.on_queue_stats(footprint, compactions);
     }
 
+    #[inline]
     fn on_run_end(&mut self, end: SimTime) {
         self.0.on_run_end(end);
         self.1.on_run_end(end);
@@ -480,18 +513,21 @@ impl RecordingProbe {
             .nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| NodeTelemetry {
-                node: i,
-                mean_occupancy: n.dwell.mean(end),
-                peak_occupancy: n.peak,
-                high_water: n.high_water,
-                occupancy_pmf: n.dwell.pmf(end),
-                occupancy_series: n.series.points.clone(),
-                arrivals: n.arrivals,
-                preemptions: n.preemptions,
-                drops: n.drops,
-                flushes: n.flushes,
-                flushed_packets: n.flushed_packets,
+            .map(|(i, n)| {
+                let occupancy_pmf = n.dwell.pmf(end);
+                NodeTelemetry {
+                    node: i,
+                    mean_occupancy: pmf_mean(&occupancy_pmf),
+                    peak_occupancy: n.peak,
+                    high_water: n.high_water,
+                    occupancy_pmf,
+                    occupancy_series: n.series.points.clone(),
+                    arrivals: n.arrivals,
+                    preemptions: n.preemptions,
+                    drops: n.drops,
+                    flushes: n.flushes,
+                    flushed_packets: n.flushed_packets,
+                }
             })
             .collect();
         SimTelemetry {
